@@ -1,0 +1,153 @@
+"""Seeded outputs of every CLI subcommand, compared byte for byte.
+
+Each case runs ``simlab.cli.main`` in a fresh working directory with
+relative paths only, so the echoed ``run.json`` does not depend on where
+the test runs.  Inputs are literal JSON and config text, independent of
+the package's own encoders.  The expected files live in
+``tests/data/golden/<case>/``; to rewrite them after a deliberate change
+of output, run ``python tests/test_golden.py`` from the repository root
+and say in the change why the outputs moved.
+"""
+
+import os
+import sys
+
+import pytest
+
+from simlab.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+INPUTS = {
+    "theta.json": '{"cutoff": 2, "coeffs": [[0.0, 0.0], [0.5, 0.25], [0.0, 0.0],'
+    ' [1.0, 0.0], [0.5, -0.25]]}',
+    "g_discrete.json": '{"kind": "discrete", "atoms": [[0.1, 0.25], [0.4, 0.5],'
+    " [0.75, 0.25]]}",
+    # period-4 values on the closed 16-interval grid: trapezoid mass is 1
+    "g_grid.json": '{"kind": "grid", "values": [1.0, 1.5, 1.0, 0.5, 1.0, 1.5, 1.0,'
+    " 0.5, 1.0, 1.5, 1.0, 0.5, 1.0, 1.5, 1.0, 0.5, 1.0]}",
+    "g_fourier.json": '{"kind": "fourier", "coeffs": [[0.1, -0.1], [0.25, 0.0],'
+    " [1.0, 0.0], [0.25, 0.0], [0.1, 0.1]]}",
+    "sieve.cfg": "n = 100\npreset = adaptive\nl_max = 8\n",
+    "dp.cfg": "mass = 1.0\ntruncation = 20\nbase_grid = 64\nbase_amplitude = 0.5\n",
+    "smooth.cfg": "nu = 1.5\nradius = 2.0\ngrid = 64\n",
+    "post_dp.cfg": "g_prior = dp\npreset = adaptive\nl_max = 2\n"
+    "mass = 1.0\ntruncation = 30\nbase_grid = 128\n",
+    "post_smooth.cfg": "g_prior = smooth\npreset = adaptive\nl_max = 2\n"
+    "nu = 1.5\nradius = 2.0\n",
+}
+
+SIMULATE_DATA = [
+    "simulate", "--theta", "in/theta.json", "--g", "in/g_grid.json",
+    "--n", "10", "--cutoff", "2", "--seed", "3", "--out", "in/obs.json",
+]
+
+# case name -> list of (argv, expected exit code); outputs go under out/
+CASES = {
+    **{
+        f"simulate_{kind}": [(
+            ["simulate", "--theta", "in/theta.json", "--g", f"in/g_{kind}.json",
+             "--n", "8", "--cutoff", "3", "--seed", "5", "--out", "out/obs.json"],
+            0,
+        )]
+        for kind in ("discrete", "grid", "fourier")
+    },
+    **{
+        f"prior_sample_{kind}": [(
+            ["prior-sample", "--kind", kind, "--config", f"in/{kind}.cfg",
+             "--count", "2", "--seed", "1", "--out", "out"],
+            0,
+        )]
+        for kind in ("sieve", "dp", "smooth")
+    },
+    "posterior_dp": [
+        (SIMULATE_DATA, 0),
+        (["posterior", "--data", "in/obs.json", "--prior", "in/post_dp.cfg",
+          "--steps", "30", "--seed", "4", "--out", "out"], 0),
+    ],
+    "posterior_smooth": [
+        (SIMULATE_DATA, 0),
+        (["posterior", "--data", "in/obs.json", "--prior", "in/post_smooth.cfg",
+          "--steps", "4", "--seed", "4", "--out", "out"], 0),
+    ],
+    "contraction": [(
+        ["contraction", "--truth", "in/truth", "--ns", "12,25", "--steps", "30",
+         "--cutoff", "2", "--control-n", "30", "--seed", "6",
+         "--out", "out/table.csv"],
+        0,
+    )],
+    "fano_net": [(
+        ["fano-net", "--p", "4", "--certify", "--samples", "4000", "--seed", "2",
+         "--out", "out"],
+        0,
+    )],
+    "verify": [(
+        ["verify", "--suite", "distances", "--instances", "2", "--samples", "2000",
+         "--seed", "7", "--out", "out/report.csv"],
+        0,
+    )],
+    "bessel_table": [(
+        ["bessel-table", "--n-max", "3", "--a-max", "2.0", "--step", "0.5",
+         "--out", "out/bessel.csv"],
+        0,
+    )],
+}
+
+
+def run_case(name: str, workdir: str) -> dict[str, bytes]:
+    """Run one case inside ``workdir``; return its outputs by relative name."""
+    cwd = os.getcwd()
+    os.makedirs(os.path.join(workdir, "in", "truth"))
+    os.makedirs(os.path.join(workdir, "out"))
+    for fname, text in INPUTS.items():
+        with open(os.path.join(workdir, "in", fname), "w") as fh:
+            fh.write(text)
+    for fname, src in (("theta.json", "theta.json"), ("g.json", "g_grid.json")):
+        with open(os.path.join(workdir, "in", "truth", fname), "w") as fh:
+            fh.write(INPUTS[src])
+    os.chdir(workdir)
+    try:
+        for argv, code in CASES[name]:
+            assert main(argv) == code, argv
+    finally:
+        os.chdir(cwd)
+    out = {}
+    root = os.path.join(workdir, "out")
+    for fname in sorted(os.listdir(root)):
+        with open(os.path.join(root, fname), "rb") as fh:
+            out[fname] = fh.read()
+    return out
+
+
+def _golden(name: str) -> dict[str, bytes]:
+    root = os.path.join(GOLDEN, name)
+    out = {}
+    for fname in sorted(os.listdir(root)):
+        with open(os.path.join(root, fname), "rb") as fh:
+            out[fname] = fh.read()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_byte_identical(name, tmp_path):
+    got = run_case(name, str(tmp_path / name))
+    want = _golden(name)
+    assert sorted(got) == sorted(want)
+    for fname in want:
+        assert got[fname] == want[fname], f"{name}/{fname} differs from the golden copy"
+
+
+if __name__ == "__main__":
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            files = run_case(case, os.path.join(tmp, case))
+            target = os.path.join(GOLDEN, case)
+            shutil.rmtree(target, ignore_errors=True)
+            os.makedirs(target)
+            for fname, data in files.items():
+                with open(os.path.join(target, fname), "wb") as fh:
+                    fh.write(data)
+            print(f"{case}: {len(files)} files", file=sys.stderr)
