@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .distances import (
+    DistanceEstimate,
+    NonFiniteDensityError,
     check_sandwich,
     e1_bound,
     e3_bound,
@@ -30,7 +32,8 @@ from .distances import (
 )
 from .fourier import FourierSeries, project, series_from_json, series_to_json
 from .mixture import MixtureLaw
-from .model import DatasetFormatError, load as load_obs, save as save_obs, simulate
+from .model import DatasetFormatError, load as load_obs, save as save_obs
+from .model import simulate, write_atomic
 from .nets import MomentMatchError, fano_tv_certificate, make_fano_net
 from .posterior import (
     ContractionConfig,
@@ -65,15 +68,8 @@ class ValidationError(ValueError):
     """Bad flags or malformed input files (exit code 1)."""
 
 
-def _write_atomic(path: str, data: str) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def _write_json(path: str, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=1, sort_keys=True))
+    write_atomic(path, json.dumps(obj, indent=1, sort_keys=True))
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -82,7 +78,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    _write_atomic(path, buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def _echo_run_config(out: str, args: argparse.Namespace) -> None:
@@ -113,6 +109,8 @@ def _sieve_from_config(cfg: dict, n: int) -> SievePriorConfig:
     if preset == "nonadaptive":
         return SievePriorConfig.non_adaptive(n, float(cfg.get("s", 1.0)), **kw)
     if preset == "manual":
+        if "mu" not in cfg or "zeta" not in cfg:
+            raise ValidationError("manual sieve preset needs 'mu' and 'zeta'")
         return SievePriorConfig(
             n=n, mu=float(cfg["mu"]), zeta=float(cfg["zeta"]), **kw
         )
@@ -299,6 +297,12 @@ def _random_shift_dist(rng, kind: int):
     return GridDensity(1.0 + amp * np.cos(2 * np.pi * (t - phase)))
 
 
+def _check_row(name: str, est: DistanceEstimate, bound: float) -> list:
+    """Report row; the check passes within three standard errors of the bound."""
+    ok = est.value <= bound + 3 * est.std_error
+    return [name, est.value, bound, est.std_error, ok]
+
+
 def distance_verification_rows(
     instances: int, samples: int, rng: np.random.Generator
 ) -> list[list]:
@@ -312,50 +316,18 @@ def distance_verification_rows(
         law_f = MixtureLaw(f, g)
         law_ft = MixtureLaw(f_tilde, g)
         tv = mc_distance(law_f, law_ft, "TV", samples, rng)
-        rows.append(
-            [
-                f"tv_shape_{i}",
-                tv.value,
-                tv_bound_f(f, f_tilde),
-                tv.std_error,
-                tv.value <= tv_bound_f(f, f_tilde) + 3 * tv.std_error,
-            ]
-        )
+        rows.append(_check_row(f"tv_shape_{i}", tv, tv_bound_f(f, f_tilde)))
         g_tilde = _random_shift_dist(rng, int(rng.integers(0, 2)))
         tvg = mc_distance(MixtureLaw(f, g), MixtureLaw(f, g_tilde), "TV", samples, rng)
-        bound_g = tv_bound_g(f, g, g_tilde)
-        rows.append(
-            [
-                f"tv_mixing_{i}",
-                tvg.value,
-                bound_g,
-                tvg.std_error,
-                tvg.value <= bound_g + 3 * tvg.std_error,
-            ]
-        )
+        rows.append(_check_row(f"tv_mixing_{i}", tvg, tv_bound_g(f, g, g_tilde)))
         level = int(rng.integers(0, cutoff))
         f_l = project(project(f, level), cutoff)
         h2 = mc_distance(MixtureLaw(f, g), MixtureLaw(f_l, g), "H2", samples, rng)
         dh = math.sqrt(max(h2.value, 0.0))
         dh_se = h2.std_error / (2 * dh) if dh > 1e-6 else math.sqrt(h2.std_error)
-        rows.append(
-            [
-                f"truncation_{i}",
-                dh,
-                e1_bound(f, level),
-                dh_se,
-                dh <= e1_bound(f, level) + 3 * dh_se,
-            ]
-        )
-        rows.append(
-            [
-                f"perturbation_{i}",
-                dh,
-                e3_bound(f, f_l),
-                dh_se,
-                dh <= e3_bound(f, f_l) + 3 * dh_se,
-            ]
-        )
+        dh_est = DistanceEstimate(dh, dh_se, "monte_carlo", samples)
+        rows.append(_check_row(f"truncation_{i}", dh_est, e1_bound(f, level)))
+        rows.append(_check_row(f"perturbation_{i}", dh_est, e3_bound(f, f_l)))
         report = check_sandwich(law_f, law_ft, samples, rng)
         rows.append(
             [
@@ -485,7 +457,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MomentMatchError, RejectionLimitError, FloatingPointError) as exc:
+    except (MomentMatchError, RejectionLimitError, NonFiniteDensityError,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

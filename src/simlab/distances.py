@@ -59,7 +59,7 @@ class DistanceEstimate:
     samples: int = 0
 
     def __post_init__(self):
-        if self.method not in ("closed_form", "quadrature", "monte_carlo"):
+        if self.method not in ("closed_form", "monte_carlo"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "closed_form" and self.std_error != 0.0:
             raise ValueError("closed forms carry no standard error")

@@ -148,15 +148,44 @@ def is_phase_normalized(theta: FourierSeries, tol: float = 1e-12) -> bool:
 
 def series_to_json(theta: FourierSeries) -> dict:
     """JSON form ``{"cutoff": l, "coeffs": [[re, im], ...]}``, k ascending."""
-    return {
-        "cutoff": int(theta.cutoff),
-        "coeffs": [[float(c.real), float(c.imag)] for c in theta.coeffs],
-    }
+    return {"cutoff": int(theta.cutoff), "coeffs": complex_to_json(theta.coeffs)}
 
 
 def series_from_json(obj: dict) -> FourierSeries:
     if not isinstance(obj, dict) or "cutoff" not in obj or "coeffs" not in obj:
         raise ValueError("series JSON must contain 'cutoff' and 'coeffs'")
-    cutoff = int(obj["cutoff"])
-    coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])
-    return FourierSeries(cutoff, coeffs)
+    try:
+        cutoff = int(obj["cutoff"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field 'cutoff': {exc}") from exc
+    return FourierSeries(cutoff, complex_from_json(obj["coeffs"], "coeffs"))
+
+
+def complex_to_json(values) -> list:
+    """JSON form ``[[re, im], ...]`` of a complex vector."""
+    return [[float(c.real), float(c.imag)] for c in values]
+
+
+def complex_from_json(value, name: str) -> np.ndarray:
+    """Inverse of :func:`complex_to_json`, exact to the bit."""
+    return pairs_from_json(value, name).view(complex)[:, 0]
+
+
+def pairs_from_json(value, name: str) -> np.ndarray:
+    """``(n, 2)`` float array from a JSON list of number pairs."""
+    arr = floats_from_json(value, name)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"field '{name}': expected a list of [a, b] number pairs")
+    return arr
+
+
+def floats_from_json(value, name: str) -> np.ndarray:
+    """Float array from nested JSON lists of numbers; anything else raises
+    a ``ValueError`` that names the field."""
+    try:
+        arr = np.array(value)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"field '{name}': {exc}") from exc
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"field '{name}': expected numbers")
+    return arr.astype(float)

@@ -17,13 +17,7 @@ import numpy as np
 
 from .fourier import FourierSeries, h1_norm, project
 from .model import ObservationSet
-from .shifts import (
-    Discrete,
-    FourierDensity,
-    GridDensity,
-    ShiftDistribution,
-    sample as sample_shift,
-)
+from .shifts import ShiftDistribution, sample as sample_shift
 from .special import complex_gaussian_array
 
 __all__ = [
@@ -92,27 +86,14 @@ class MixtureLaw:
         return self.active_freqs.size
 
 
-def _shift_nodes(law: MixtureLaw):
-    """Quadrature nodes and weights for the shift integral.
-
-    Atoms are used exactly; densities are sampled on a uniform circle
-    grid with weights ``g(phi_i) / K`` (the periodic trapezoid rule).
-    """
-    g = law.g
-    if isinstance(g, Discrete):
-        return g.positions, g.weights
-    if isinstance(g, FourierDensity):
-        g = g.to_grid()
-    if isinstance(g, GridDensity):
-        k = law.quadrature_points or default_quadrature_points(law.theta)
-        phi = np.arange(k) / k
-        vals = np.interp(phi, g.grid, g.values)
-        w = vals / k
-        s = w.sum()
-        if s <= 0:
-            raise ValueError("degenerate shift density")
-        return phi, w / s
-    raise TypeError(f"unsupported shift distribution {type(g)!r}")
+def _components(law: MixtureLaw):
+    """Means and log weights of the shift-integral nodes (atoms, or a
+    circle grid of the law's resolution for densities)."""
+    phi, w = law.g.nodes(law.quadrature_points or default_quadrature_points(law.theta))
+    logw = np.full(w.shape, -np.inf)
+    pos = w > 0
+    logw[pos] = np.log(w[pos])
+    return _means(law, phi), logw
 
 
 def _means(law: MixtureLaw, phi: np.ndarray) -> np.ndarray:
@@ -151,15 +132,11 @@ def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.shape[1] != law.dim:
         raise ValueError(f"points must have dimension {law.dim}, got {z.shape[1]}")
-    phi, w = _shift_nodes(law)
-    mu = _means(law, phi)
-    logw = np.full(w.shape, -np.inf)
-    pos = w > 0
-    logw[pos] = np.log(w[pos])
+    mu, logw = _components(law)
     p = law.dim
     out = np.empty(z.shape[0])
     # chunk the (N, K) exponent matrix to bound memory
-    chunk = max(1, int(4e6) // max(1, phi.size))
+    chunk = max(1, int(4e6) // max(1, mu.shape[0]))
     mu_sq = np.sum(np.abs(mu) ** 2, axis=1)
     for lo in range(0, z.shape[0], chunk):
         zz = z[lo : lo + chunk]
@@ -205,12 +182,8 @@ def log_likelihood(law: MixtureLaw, obs: ObservationSet) -> float:
 
 def _log_shift_integral(law: MixtureLaw, y: np.ndarray) -> float:
     """``log int exp(2 Re<theta . phi, y> - ||theta||^2) dg(phi)``."""
-    phi, w = _shift_nodes(law)
-    mu = _means(law, phi)
+    mu, logw = _components(law)
     expo = 2.0 * (mu.conj() @ y).real - np.sum(np.abs(law.theta.coeffs) ** 2)
-    logw = np.full(w.shape, -np.inf)
-    pos = w > 0
-    logw[pos] = np.log(w[pos])
     expo = expo + logw
     m = float(np.max(expo))
     return m + math.log(float(np.sum(np.exp(expo - m))))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import FourierSeries, project, rotate
+from .fourier import FourierSeries, complex_from_json, complex_to_json, project, rotate
 from .shifts import ShiftDistribution, sample
 from .special import complex_gaussian_array
 
@@ -89,8 +89,8 @@ def simulate(
     """
     if n < 1:
         raise ValueError("need at least one curve")
-    if sigma < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     theta_l = project(theta0, cutoff)
     children = np.random.SeedSequence(seed).spawn(n)
     p = 2 * cutoff + 1
@@ -114,16 +114,19 @@ def save(obs: ObservationSet, path: str) -> None:
         "cutoff": obs.cutoff,
         "sigma": obs.sigma,
         "seed": obs.seed,
-        "curves": [
-            [[float(c.real), float(c.imag)] for c in row] for row in obs.curves
-        ],
+        "curves": [complex_to_json(row) for row in obs.curves],
         "true_shifts": None
         if obs.true_shifts is None
         else [float(t) for t in obs.true_shifts],
     }
+    write_atomic(path, json.dumps(doc))
+
+
+def write_atomic(path: str, data: str) -> None:
+    """Write ``data`` to a temporary sibling, then rename it onto ``path``."""
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(data)
     os.replace(tmp, path)
 
 
@@ -152,9 +155,10 @@ def load(path: str) -> ObservationSet:
         if not isinstance(row, list) or len(row) != width:
             raise DatasetFormatError("curves", f"row {j} must have {width} entries")
         try:
-            curves[j] = [complex(re, im) for re, im in row]
-        except (TypeError, ValueError) as exc:
-            raise DatasetFormatError("curves", f"row {j}: {exc}") from exc
+            curves[j] = complex_from_json(row, "curves")
+        except ValueError as exc:
+            message = f"row {j} is not a list of [re, im] number pairs"
+            raise DatasetFormatError("curves", message) from exc
     shifts = doc.get("true_shifts")
     if shifts is not None:
         if not isinstance(shifts, list) or len(shifts) != n:

@@ -280,7 +280,6 @@ class MomentMatchError(RuntimeError):
 
 
 def finite_mixture_match(
-    theta: FourierSeries,
     g: ShiftDistribution,
     order: int,
     candidate_grid: int = 4096,
@@ -292,13 +291,10 @@ def finite_mixture_match(
     Nonnegative least squares over a fine candidate grid of atom
     locations; the active set of the solution has at most ``2 R + 1``
     atoms.  Afterwards atoms closer than ``eta`` (circularly) are
-    consolidated, weights summed.  The ``theta`` argument fixes the
-    mixture context the matching is used in; the moments themselves
-    depend only on ``g``.
+    consolidated, weights summed.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    del theta  # moments are a property of g alone
     grid = np.arange(candidate_grid) / candidate_grid
     rs = np.arange(order + 1)
     target_c = np.atleast_1d(fourier_coeff(g, rs))

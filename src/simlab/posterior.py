@@ -30,19 +30,16 @@ from .priors import (
     DirichletPriorConfig,
     SievePriorConfig,
     SmoothPriorConfig,
+    exp_density,
     gp_draw,
     lambda_pmf,
     sample_dp,
     sample_f,
     sample_smooth,
+    sample_smooth_with_process,
+    stick_breaking,
 )
-from .shifts import (
-    Discrete,
-    GridDensity,
-    ShiftDistribution,
-    sobolev_radius,
-    uniform_density,
-)
+from .shifts import Discrete, ShiftDistribution, sobolev_radius, uniform_density
 from .special import complex_gaussian_array
 
 __all__ = [
@@ -119,37 +116,14 @@ class PosteriorEnsemble:
         for theta, g, w in self.samples:
             if aligned:
                 _, g = align_pair(theta, g)
-            acc += w * _density_on_grid(g, m)
+            acc += w * g.on_grid(m)
         return acc
-
-
-def _density_on_grid(g: ShiftDistribution, m: int) -> np.ndarray:
-    """Closed-grid density view; atoms are binned at resolution ``1/m``."""
-    if isinstance(g, Discrete):
-        hist, _ = np.histogram(
-            g.positions, bins=m, range=(0.0, 1.0), weights=g.weights
-        )
-        vals = hist * m
-        return np.concatenate([vals, vals[:1]])
-    if isinstance(g, GridDensity):
-        t = np.linspace(0.0, 1.0, m + 1)
-        return np.interp(t, g.grid, g.values)
-    return _density_on_grid(g.to_grid(m), m)
 
 
 def shift_measure(g: ShiftDistribution, delta: float) -> ShiftDistribution:
     """Translate a shift distribution: the new measure of ``A`` is the old
     measure of ``A - delta`` (densities move as ``x -> x - delta``)."""
-    delta = float(delta) % 1.0
-    if isinstance(g, Discrete):
-        return Discrete((g.positions + delta) % 1.0, g.weights)
-    if isinstance(g, GridDensity):
-        t = g.grid
-        shifted = np.interp((t - delta) % 1.0, t, g.values)
-        shifted[-1] = shifted[0]
-        vals = shifted / np.trapezoid(shifted, t)
-        return GridDensity(vals)
-    return shift_measure(g.to_grid(), delta)
+    return g.translate(float(delta) % 1.0)
 
 
 def align_pair(
@@ -270,9 +244,9 @@ class GibbsSampler:
             self.smooth_cfg = SmoothPriorConfig(
                 cfg.nu, cfg.radius, grid=phi_grid, max_rejections=cfg.max_rejections
             )
-            density, w = _smooth_initial(self.smooth_cfg, rng)
-            self.w_process = w
-            self.g_density = density
+            self.g_density, self.w_process = sample_smooth_with_process(
+                self.smooth_cfg, rng
+            )
             self.tau_idx = rng.integers(0, phi_grid, size=self.n)
             self.tau = self.phi[self.tau_idx]
 
@@ -405,15 +379,8 @@ class GibbsSampler:
         k = cfg.truncation
         counts = np.bincount(self.assignments, minlength=k).astype(float)
         tail = np.concatenate([np.cumsum(counts[::-1])[::-1][1:], [0.0]])
-        if k > 1:
-            v = self.rng.beta(1.0 + counts[:-1], cfg.total_mass + tail[:-1])
-        else:
-            v = np.empty(0)
-        remaining = np.concatenate([[1.0], np.cumprod(1.0 - v)])
-        w = np.empty(k)
-        w[: k - 1] = v * remaining[:-1]
-        w[k - 1] = remaining[-1]
-        self.stick_w = w
+        v = self.rng.beta(1.0 + counts[:-1], cfg.total_mass + tail[:-1])
+        self.stick_w = stick_breaking(v)
         # atom locations: categorical on the grid, conjugate to the
         # per-cluster sums of rotated observations
         b = np.conj(self.theta)[None, :]
@@ -432,7 +399,7 @@ class GibbsSampler:
         beta = self.pcn_beta
         fresh = gp_draw(cfg, self.rng)
         proposal = math.sqrt(1.0 - beta**2) * self.w_process + beta * fresh
-        density = _normalize_exp(proposal)
+        density = exp_density(proposal)
         if sobolev_radius(density, cfg.nu) > 2.0 * cfg.radius:
             return
         logz_old = _log_trapz_exp(self.w_process)
@@ -496,18 +463,6 @@ class GibbsSampler:
             "l_max": self.l_max,
         }
         return PosteriorEnsemble(samples, diag, cfg)
-
-
-def _smooth_initial(cfg: SmoothPriorConfig, rng) -> tuple[GridDensity, np.ndarray]:
-    from .priors import sample_smooth_with_process
-
-    return sample_smooth_with_process(cfg, rng)
-
-
-def _normalize_exp(w: np.ndarray) -> GridDensity:
-    scaled = np.exp(w - np.max(w))
-    mass = np.trapezoid(scaled, dx=1.0 / (scaled.size - 1))
-    return GridDensity(scaled / mass)
 
 
 def _log_trapz_exp(w: np.ndarray) -> float:
@@ -640,7 +595,7 @@ def _experiment_row(
     mean_raw = project(ens.mean_theta(aligned=False), cut).coeffs
     g_mean = ens.mean_g_grid(cfg.g_grid, aligned=True)
     t = np.linspace(0.0, 1.0, cfg.g_grid + 1)
-    g_truth = _density_on_grid(truth_g, cfg.g_grid)
+    g_truth = truth_g.on_grid(cfg.g_grid)
     g_err = math.sqrt(float(np.trapezoid((g_mean - g_truth) ** 2, t)))
     return {
         "n": n,

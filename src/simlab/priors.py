@@ -123,13 +123,15 @@ def stick_weights(
     so the weights sum to one exactly.  The residual (what the last
     stick absorbed) is returned for diagnostics.
     """
-    k = cfg.truncation
-    v = rng.beta(1.0, cfg.total_mass, size=k - 1) if k > 1 else np.empty(0)
+    w = stick_breaking(rng.beta(1.0, cfg.total_mass, size=cfg.truncation - 1))
+    return w, float(w[-1])
+
+
+def stick_breaking(v: np.ndarray) -> np.ndarray:
+    """Weights ``w_i = v_i prod_{j<i} (1 - v_j)`` from ``k - 1`` stick
+    fractions; the ``k``-th stick takes whatever is left."""
     remaining = np.concatenate([[1.0], np.cumprod(1.0 - v)])
-    w = np.empty(k)
-    w[: k - 1] = v * remaining[:-1]
-    w[k - 1] = remaining[-1]
-    return w, float(remaining[-1])
+    return np.append(v * remaining[:-1], remaining[-1])
 
 
 def sample_dp(cfg: DirichletPriorConfig, rng: np.random.Generator) -> Discrete:
@@ -218,7 +220,8 @@ def gp_draw(cfg: SmoothPriorConfig, rng: np.random.Generator) -> np.ndarray:
     return w
 
 
-def _densify(w: np.ndarray) -> GridDensity:
+def exp_density(w: np.ndarray) -> GridDensity:
+    """Density proportional to ``e^w`` on the closed grid (trapezoid mass 1)."""
     scaled = np.exp(w - np.max(w))
     mass = np.trapezoid(scaled, dx=1.0 / (scaled.size - 1))
     return GridDensity(scaled / mass)
@@ -234,7 +237,7 @@ def sample_smooth_with_process(
     """
     for attempt in range(cfg.max_rejections + 1):
         w = gp_draw(cfg, rng)
-        density = _densify(w)
+        density = exp_density(w)
         if sobolev_radius(density, cfg.nu) <= 2.0 * cfg.radius:
             return density, w
     raise RejectionLimitError(cfg.max_rejections + 1)

@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fourier import complex_from_json, complex_to_json
+from .fourier import floats_from_json, pairs_from_json
+
 __all__ = [
     "ShiftDistribution",
     "Discrete",
@@ -37,7 +40,18 @@ _NEG_TOL = 1e-9
 
 
 class ShiftDistribution:
-    """Common base for the three shift-distribution representations."""
+    """Common base for the three shift-distribution representations.
+
+    Each one implements the single-law operations as methods: ``fourier``,
+    ``quantile``, ``sample``, ``nodes`` (shift quadrature), ``on_grid``,
+    ``translate``, ``radius_cutoff`` (for the smoothness radius) and
+    ``to_json``.  A new representation is one class plus its ``kind`` entry
+    in ``_FROM_JSON``.
+    """
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Inverse-CDF draws: one uniform per draw through the quantile."""
+        return np.asarray(self.quantile(rng.uniform(0.0, 1.0, count)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -52,9 +66,9 @@ class Discrete(ShiftDistribution):
         w = np.asarray(self.weights, dtype=float)
         if pos.ndim != 1 or pos.shape != w.shape:
             raise ValueError("positions and weights must be 1-d arrays of equal length")
-        if np.any((pos < 0.0) | (pos >= 1.0)):
+        if not np.all((pos >= 0.0) & (pos < 1.0)):
             raise ValueError("positions must lie in [0, 1)")
-        if np.any(w < 0.0):
+        if not np.all(w >= 0.0):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
@@ -65,6 +79,40 @@ class Discrete(ShiftDistribution):
     @staticmethod
     def point_mass(a: float) -> "Discrete":
         return Discrete(np.array([a]), np.array([1.0]))
+
+    def fourier(self, ks: np.ndarray) -> np.ndarray:
+        phases = np.exp(-2j * np.pi * np.multiply.outer(ks, self.positions))
+        return phases @ self.weights
+
+    def quantile(self, u) -> np.ndarray:
+        cum = np.cumsum(self.weights)
+        idx = np.searchsorted(cum, np.asarray(u), side="right")
+        return self.positions[np.minimum(idx, self.positions.size - 1)]
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        p = self.weights / self.weights.sum()
+        return self.positions[rng.choice(self.positions.size, size=count, p=p)]
+
+    def nodes(self, k: int):
+        return self.positions, self.weights
+
+    def on_grid(self, m: int) -> np.ndarray:
+        """Atoms binned at resolution ``1/m``."""
+        hist, _ = np.histogram(
+            self.positions, bins=m, range=(0.0, 1.0), weights=self.weights
+        )
+        vals = hist * m
+        return np.concatenate([vals, vals[:1]])
+
+    def translate(self, delta: float) -> "Discrete":
+        return Discrete((self.positions + delta) % 1.0, self.weights)
+
+    def radius_cutoff(self) -> int:
+        raise TypeError("atomic measures have no finite smoothness radius")
+
+    def to_json(self) -> dict:
+        atoms = [[float(p), float(w)] for p, w in zip(self.positions, self.weights)]
+        return {"kind": "discrete", "atoms": atoms}
 
 
 @dataclass(frozen=True)
@@ -81,7 +129,7 @@ class GridDensity(ShiftDistribution):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 3:
             raise ValueError("grid density needs at least 3 closed-grid values")
-        if np.any(v < -_NEG_TOL):
+        if not np.all(v >= -_NEG_TOL):
             raise ValueError("density values must be nonnegative")
         v = np.clip(v, 0.0, None)
         mass = np.trapezoid(v, dx=1.0 / (v.size - 1))
@@ -106,6 +154,42 @@ class GridDensity(ShiftDistribution):
         cdf /= cdf[-1]
         return cdf
 
+    def fourier(self, ks: np.ndarray) -> np.ndarray:
+        t = self.grid
+        integrand = np.exp(-2j * np.pi * np.multiply.outer(ks, t)) * self.values
+        return np.trapezoid(integrand, t, axis=-1)
+
+    def quantile(self, u) -> np.ndarray:
+        # np.interp on a nondecreasing CDF realizes the right-continuous
+        # generalized inverse up to grid resolution.
+        return np.interp(np.asarray(u), self.cdf_values(), self.grid)
+
+    def nodes(self, k: int):
+        """Circle grid of ``k`` points, weights ``g(phi_i) / k`` renormalized."""
+        phi = np.arange(k) / k
+        w = np.interp(phi, self.grid, self.values) / k
+        s = w.sum()
+        if s <= 0:
+            raise ValueError("degenerate shift density")
+        return phi, w / s
+
+    def on_grid(self, m: int) -> np.ndarray:
+        return np.interp(np.linspace(0.0, 1.0, m + 1), self.grid, self.values)
+
+    def translate(self, delta: float) -> "GridDensity":
+        """Values move as ``x -> x - delta``; the mass is renormalized."""
+        t = self.grid
+        shifted = np.interp((t - delta) % 1.0, t, self.values)
+        shifted[-1] = shifted[0]
+        return GridDensity(shifted / np.trapezoid(shifted, t))
+
+    def radius_cutoff(self) -> int:
+        """Highest frequency the grid resolves, ``m/2``."""
+        return self.m // 2
+
+    def to_json(self) -> dict:
+        return {"kind": "grid", "values": [float(v) for v in self.values]}
+
 
 @dataclass(frozen=True)
 class FourierDensity(ShiftDistribution):
@@ -126,11 +210,11 @@ class FourierDensity(ShiftDistribution):
         if not self.validate:
             return
         k0 = c.size // 2
-        if abs(c[k0] - 1.0) > _WEIGHT_TOL:
+        if not abs(c[k0] - 1.0) <= _WEIGHT_TOL:
             raise ValueError("c_0 must equal 1")
         if np.max(np.abs(c[::-1].conj() - c)) > 1e-9:
             raise ValueError("coefficients must be Hermitian (c_{-k} = conj(c_k))")
-        if float(np.min(self.reconstruct())) < -_NEG_TOL:
+        if not float(np.min(self.reconstruct())) >= -_NEG_TOL:
             raise ValueError("reconstructed density is negative beyond tolerance")
 
     @property
@@ -150,6 +234,31 @@ class FourierDensity(ShiftDistribution):
             raise ValueError("reconstructed density is negative beyond tolerance")
         return GridDensity(np.clip(vals, 0.0, None))
 
+    def fourier(self, ks: np.ndarray) -> np.ndarray:
+        flat = np.atleast_1d(ks)
+        out = np.zeros(flat.shape, dtype=complex)
+        inside = np.abs(flat) <= self.k_max
+        out[inside] = self.coeffs[flat[inside] + self.k_max]
+        return out.reshape(np.shape(ks))
+
+    def quantile(self, u) -> np.ndarray:
+        return self.to_grid().quantile(u)
+
+    def nodes(self, k: int):
+        return self.to_grid().nodes(k)
+
+    def on_grid(self, m: int) -> np.ndarray:
+        return self.to_grid(m).on_grid(m)
+
+    def translate(self, delta: float) -> GridDensity:
+        return self.to_grid().translate(delta)
+
+    def radius_cutoff(self) -> int:
+        return self.k_max
+
+    def to_json(self) -> dict:
+        return {"kind": "fourier", "coeffs": complex_to_json(self.coeffs)}
+
 
 def uniform_density(m: int = DEFAULT_GRID) -> GridDensity:
     return GridDensity(np.ones(m + 1))
@@ -163,7 +272,7 @@ def raised_cosine_density(m: int = DEFAULT_GRID, amplitude: float = 1.0) -> Grid
     return GridDensity(1.0 + amplitude * np.cos(2.0 * np.pi * t))
 
 
-def fourier_coeff(g: ShiftDistribution, k: int):
+def fourier_coeff(g: ShiftDistribution, k):
     """Coefficient ``c_k(g) = int e^{-i 2 pi k phi} dg(phi)``.
 
     Exact sum for atoms, trapezoid quadrature for grids, direct lookup
@@ -171,46 +280,10 @@ def fourier_coeff(g: ShiftDistribution, k: int):
     over an array of frequencies.
     """
     ks = np.asarray(k)
-    if isinstance(g, Discrete):
-        phases = np.exp(-2j * np.pi * np.multiply.outer(ks, g.positions))
-        out = phases @ g.weights
-    elif isinstance(g, GridDensity):
-        t = g.grid
-        integrand = np.exp(-2j * np.pi * np.multiply.outer(ks, t)) * g.values
-        out = np.trapezoid(integrand, t, axis=-1)
-    elif isinstance(g, FourierDensity):
-        flat = np.atleast_1d(ks)
-        out = np.zeros(flat.shape, dtype=complex)
-        inside = np.abs(flat) <= g.k_max
-        out[inside] = g.coeffs[flat[inside] + g.k_max]
-        out = out.reshape(ks.shape)
-    else:
-        raise TypeError(f"unsupported shift distribution {type(g)!r}")
+    out = g.fourier(ks)
     if ks.ndim == 0:
         return complex(out)
     return out
-
-
-def _quantile_fn(g: ShiftDistribution):
-    """Return ``u -> G^{-1}(u)`` with ``G^{-1}(u) = inf{t : g((0, t]) > u}``."""
-    if isinstance(g, Discrete):
-        cum = np.cumsum(g.weights)
-
-        def inv(u):
-            idx = np.searchsorted(cum, np.asarray(u), side="right")
-            idx = np.minimum(idx, g.positions.size - 1)
-            return g.positions[idx]
-
-        return inv
-    if isinstance(g, FourierDensity):
-        g = g.to_grid()
-    if isinstance(g, GridDensity):
-        cdf = g.cdf_values()
-        t = g.grid
-        # np.interp on a nondecreasing CDF realizes the right-continuous
-        # generalized inverse up to grid resolution.
-        return lambda u: np.interp(np.asarray(u), cdf, t)
-    raise TypeError(f"unsupported shift distribution {type(g)!r}")
 
 
 def wasserstein1(
@@ -220,28 +293,8 @@ def wasserstein1(
 
     Midpoint quadrature over ``u`` with a configurable resolution.
     """
-    inv_a = _quantile_fn(g)
-    inv_b = _quantile_fn(g_tilde)
     u = (np.arange(u_points) + 0.5) / u_points
-    return float(np.mean(np.abs(inv_a(u) - inv_b(u))))
-
-
-def _common_grids(g: ShiftDistribution, g_tilde: ShiftDistribution):
-    kinds = (g, g_tilde)
-    if any(isinstance(x, Discrete) for x in kinds):
-        raise TypeError("density-based distance needs grid or Fourier inputs")
-    out = []
-    m = max(
-        x.m if isinstance(x, GridDensity) else DEFAULT_GRID for x in kinds
-    )
-    for x in kinds:
-        if isinstance(x, FourierDensity):
-            x = x.to_grid(m)
-        if x.m != m:
-            t = np.linspace(0.0, 1.0, m + 1)
-            x = GridDensity(np.interp(t, x.grid, x.values))
-        out.append(x)
-    return out
+    return float(np.mean(np.abs(g.quantile(u) - g_tilde.quantile(u))))
 
 
 def tv_density(g: ShiftDistribution, g_tilde: ShiftDistribution) -> float:
@@ -257,7 +310,11 @@ def tv_density(g: ShiftDistribution, g_tilde: ShiftDistribution) -> float:
         np.add.at(wa, np.searchsorted(support, g.positions), g.weights)
         np.add.at(wb, np.searchsorted(support, g_tilde.positions), g_tilde.weights)
         return float(0.5 * np.sum(np.abs(wa - wb)))
-    ga, gb = _common_grids(g, g_tilde)
+    pair = (g, g_tilde)
+    if any(isinstance(x, Discrete) for x in pair):
+        raise TypeError("density-based distance needs grid or Fourier inputs")
+    m = max(x.m if isinstance(x, GridDensity) else DEFAULT_GRID for x in pair)
+    ga, gb = (GridDensity(x.on_grid(m)) for x in pair)
     return float(0.5 * np.trapezoid(np.abs(ga.values - gb.values), ga.grid))
 
 
@@ -269,15 +326,7 @@ def sobolev_radius(g: ShiftDistribution, nu: float) -> float:
     """
     if nu < 0.5:
         raise ValueError("regularity must satisfy nu >= 1/2")
-    if isinstance(g, FourierDensity):
-        k_max = g.k_max
-    elif isinstance(g, GridDensity):
-        k_max = g.m // 2
-    elif isinstance(g, Discrete):
-        raise TypeError("atomic measures have no finite smoothness radius")
-    else:
-        raise TypeError(f"unsupported shift distribution {type(g)!r}")
-    ks = np.arange(1, k_max + 1)
+    ks = np.arange(1, g.radius_cutoff() + 1)
     coeffs = fourier_coeff(g, ks)
     total = 2.0 * np.sum(ks ** (2.0 * nu) * np.abs(coeffs) ** 2)
     return float(np.sqrt(total))
@@ -292,11 +341,7 @@ def sample(g: ShiftDistribution, count: int, rng: np.random.Generator) -> np.nda
     """``count`` i.i.d. draws from ``g``; deterministic given the rng state."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if isinstance(g, Discrete):
-        idx = rng.choice(g.positions.size, size=count, p=g.weights / g.weights.sum())
-        return g.positions[idx]
-    inv = _quantile_fn(g)
-    return np.asarray(inv(rng.uniform(0.0, 1.0, count)), dtype=float)
+    return g.sample(count, rng)
 
 
 def discretize(g: ShiftDistribution, atom_count: int) -> Discrete:
@@ -307,42 +352,35 @@ def discretize(g: ShiftDistribution, atom_count: int) -> Discrete:
     """
     if atom_count < 1:
         raise ValueError("atom_count must be at least 1")
-    inv = _quantile_fn(g)
     u = (2.0 * np.arange(1, atom_count + 1) - 1.0) / (2.0 * atom_count)
-    pos = np.asarray(inv(u), dtype=float)
+    pos = np.asarray(g.quantile(u), dtype=float)
     uniq, inverse = np.unique(pos, return_inverse=True)
     w = np.zeros(uniq.size)
     np.add.at(w, inverse, 1.0 / atom_count)
     return Discrete(uniq, w)
 
 
+_FROM_JSON = {
+    "discrete": lambda obj: Discrete(*pairs_from_json(obj["atoms"], "atoms").T),
+    "grid": lambda obj: GridDensity(floats_from_json(obj["values"], "values")),
+    "fourier": lambda obj: FourierDensity(complex_from_json(obj["coeffs"], "coeffs")),
+}
+
+
 def shift_to_json(g: ShiftDistribution) -> dict:
     """JSON form with a ``kind`` discriminator mirroring the three variants."""
-    if isinstance(g, Discrete):
-        return {
-            "kind": "discrete",
-            "atoms": [[float(p), float(w)] for p, w in zip(g.positions, g.weights)],
-        }
-    if isinstance(g, GridDensity):
-        return {"kind": "grid", "values": [float(v) for v in g.values]}
-    if isinstance(g, FourierDensity):
-        return {
-            "kind": "fourier",
-            "coeffs": [[float(c.real), float(c.imag)] for c in g.coeffs],
-        }
-    raise TypeError(f"unsupported shift distribution {type(g)!r}")
+    return g.to_json()
 
 
 def shift_from_json(obj: dict) -> ShiftDistribution:
+    """Inverse of :func:`shift_to_json`; malformed input raises ValueError."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("shift distribution JSON must contain 'kind'")
     kind = obj["kind"]
-    if kind == "discrete":
-        atoms = np.asarray(obj["atoms"], dtype=float)
-        return Discrete(atoms[:, 0], atoms[:, 1])
-    if kind == "grid":
-        return GridDensity(np.asarray(obj["values"], dtype=float))
-    if kind == "fourier":
-        coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])
-        return FourierDensity(coeffs)
-    raise ValueError(f"unknown shift distribution kind {kind!r}")
+    decode = _FROM_JSON.get(kind) if isinstance(kind, str) else None
+    if decode is None:
+        raise ValueError(f"unknown shift distribution kind {kind!r}")
+    try:
+        return decode(obj)
+    except KeyError as exc:
+        raise ValueError(f"field {exc}: missing") from exc

@@ -100,14 +100,10 @@ def bessel_i(n: int, a: float) -> float:
     overflow the double range for ``a`` beyond ~709 as ``I_n`` grows like
     ``e^a``; use :func:`bessel_i_scaled` in that regime.
     """
-    n = abs(int(n))
     a = float(a)
-    if a < 0:
-        raise ValueError("argument must be nonnegative")
-    if a == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if a <= _SERIES_SWITCH:
-        return _series_i(n, a)
+    if 0.0 < a <= _SERIES_SWITCH:
+        return _series_i(abs(int(n)), a)
+    # zero and negative arguments are handled (or rejected) by the scaled form
     return math.exp(a) * bessel_i_scaled(n, a)
 
 

@@ -6,7 +6,9 @@ import os
 
 import pytest
 
+from simlab import cli
 from simlab.cli import main
+from simlab.distances import NonFiniteDensityError
 from simlab.fourier import FourierSeries, series_to_json
 from simlab.model import load
 from simlab.shifts import raised_cosine_density, shift_to_json
@@ -68,6 +70,40 @@ class TestSimulateCommand:
         code = main(["simulate", "--theta", theta_path, "--bogus", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_bad_sigma_rejected(self, tmp_path, truth_files, capsys, sigma):
+        theta_path, g_path = truth_files
+        out = tmp_path / "obs.json"
+        code = main(
+            ["simulate", "--theta", theta_path, "--g", g_path, "--n", "3",
+             "--cutoff", "1", "--sigma", sigma, "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "which,doc,fieldname",
+        [
+            ("g", '{"kind": "discrete", "atoms": [0.5, 1.0]}', "atoms"),
+            ("g", '{"kind": "grid"}', "values"),
+            ("theta", '{"cutoff": 0, "coeffs": [[1.0]]}', "coeffs"),
+        ],
+    )
+    def test_malformed_input_json_rejected(
+        self, tmp_path, truth_files, capsys, which, doc, fieldname
+    ):
+        theta_path, g_path = truth_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        paths = {"theta": theta_path, "g": g_path, which: str(bad)}
+        code = main(
+            ["simulate", "--theta", paths["theta"], "--g", paths["g"], "--n", "3",
+             "--cutoff", "1", "--out", str(tmp_path / "obs.json")]
+        )
+        assert code == 1
+        assert f"field '{fieldname}'" in capsys.readouterr().err
+
     def test_bad_threads_rejected(self, tmp_path, truth_files):
         theta_path, g_path = truth_files
         code = main(
@@ -99,6 +135,16 @@ class TestPriorSampleCommand:
         assert files == ["draw_0000.json", "draw_0001.json", "draw_0002.json",
                          "run.json"]
 
+    def test_manual_preset_needs_mu_and_zeta(self, tmp_path, capsys):
+        cfg = tmp_path / "prior.cfg"
+        cfg.write_text("n = 100\npreset = manual\nmu = 0.3\n")
+        code = main(
+            ["prior-sample", "--kind", "sieve", "--config", str(cfg),
+             "--count", "1", "--out", str(tmp_path / "draws")]
+        )
+        assert code == 1
+        assert "zeta" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_report_all_pass(self, tmp_path):
@@ -118,6 +164,19 @@ class TestVerifyCommand:
             ["verify", "--suite", "nope", "--out", str(tmp_path / "r.csv")]
         )
         assert code == 1
+
+    def test_non_finite_density_is_numerical_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def failing_rows(*args):
+            raise NonFiniteDensityError("non-finite density ratio in TV/H2 estimate")
+
+        monkeypatch.setattr(cli, "distance_verification_rows", failing_rows)
+        code = main(
+            ["verify", "--suite", "distances", "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.csv"

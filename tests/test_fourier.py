@@ -46,6 +46,42 @@ class TestConstruction:
         assert back.cutoff == 3
         assert np.array_equal(back.coeffs, th.coeffs)
 
+    @pytest.mark.parametrize(
+        "doc,fieldname",
+        [
+            ({"cutoff": 0, "coeffs": [[1.0]]}, "coeffs"),
+            ({"cutoff": 0, "coeffs": [1.0, 2.0]}, "coeffs"),
+            ({"cutoff": None, "coeffs": [[1.0, 0.0]]}, "cutoff"),
+            ({"cutoff": float("inf"), "coeffs": [[1.0, 0.0]]}, "cutoff"),
+        ],
+    )
+    def test_malformed_field_named(self, doc, fieldname):
+        with pytest.raises(ValueError, match=f"field '{fieldname}'"):
+            series_from_json(doc)
+
+    @given(
+        doc=st.fixed_dictionaries(
+            {},
+            optional={
+                "cutoff": st.integers(-2, 3) | st.floats() | st.none() | st.text(),
+                "coeffs": st.lists(
+                    st.lists(st.floats() | st.integers() | st.text(), max_size=3)
+                    | st.floats()
+                    | st.none(),
+                    max_size=8,
+                ),
+            },
+        )
+        | st.lists(st.integers(), max_size=3)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_document_decodes_or_raises_value_error(self, doc):
+        try:
+            th = series_from_json(doc)
+        except ValueError:
+            return
+        assert isinstance(th, FourierSeries)
+
 
 class TestRotate:
     def test_zero_shift_is_identity(self):

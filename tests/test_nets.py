@@ -186,25 +186,21 @@ class TestBracketing:
 
 class TestMomentMatching:
     def test_uniform_needs_only_mass(self):
-        matched = finite_mixture_match(FourierSeries.zero(1), uniform_density(), 4)
+        matched = finite_mixture_match(uniform_density(), 4)
         rs = np.arange(1, 5)
         coeffs = fourier_coeff(matched, rs)
         assert np.max(np.abs(coeffs)) < 1e-8
         assert abs(fourier_coeff(matched, 0) - 1.0) < 1e-8
 
     def test_raised_cosine_order_three(self):
-        matched = finite_mixture_match(
-            FourierSeries.zero(1), raised_cosine_density(), 3
-        )
+        matched = finite_mixture_match(raised_cosine_density(), 3)
         assert abs(fourier_coeff(matched, 1) - 0.5) < 1e-8
         assert abs(fourier_coeff(matched, 2)) < 1e-8
         assert abs(fourier_coeff(matched, 3)) < 1e-8
 
     def test_support_size(self):
         for order in (2, 4, 8):
-            matched = finite_mixture_match(
-                FourierSeries.zero(1), raised_cosine_density(), order
-            )
+            matched = finite_mixture_match(raised_cosine_density(), order)
             assert matched.positions.size <= 2 * order + 1
 
     def test_law_distance_decreases_with_order(self):
@@ -213,7 +209,7 @@ class TestMomentMatching:
         rng = np.random.default_rng(7)
         tvs = []
         for order in (2, 4, 8):
-            matched = finite_mixture_match(theta, g, order)
+            matched = finite_mixture_match(g, order)
             est = mc_distance(
                 MixtureLaw(theta, g), MixtureLaw(theta, matched), "TV", 60_000, rng
             )
@@ -231,7 +227,6 @@ class TestMomentMatching:
         skewed = GridDensity(1.0 + 0.9 * np.cos(2 * np.pi * (t - 0.123)))
         with pytest.raises(MomentMatchError) as err:
             finite_mixture_match(
-                FourierSeries.zero(1),
                 skewed,
                 3,
                 candidate_grid=4,

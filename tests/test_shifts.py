@@ -1,12 +1,17 @@
 """Shift distributions: coefficients, transport and TV distances, sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simlab.shifts import (
     Discrete,
     FourierDensity,
     GridDensity,
+    ShiftDistribution,
     discretize,
     fourier_coeff,
     in_class,
@@ -56,10 +61,71 @@ class TestInvariants:
         for g in (
             Discrete(np.array([0.1, 0.6]), np.array([0.3, 0.7])),
             raised_cosine_density(64),
-            FourierDensity(np.array([0.25, 1.0, 0.25], dtype=complex)),
+            FourierDensity(np.array([0.25 - 0.1j, 1.0, 0.25 + 0.1j])),
         ):
             back = shift_from_json(shift_to_json(g))
             assert type(back) is type(g)
+            for f in dataclasses.fields(g):
+                assert np.array_equal(getattr(back, f.name), getattr(g, f.name))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+NUMBER_LISTS = st.lists(
+    st.lists(st.floats() | st.integers(), max_size=3) | st.floats(), max_size=6
+)
+
+
+class TestJsonDecoding:
+    @pytest.mark.parametrize(
+        "doc,fieldname",
+        [
+            ({"kind": "discrete", "atoms": [0.5, 1.0]}, "atoms"),
+            ({"kind": "discrete", "atoms": [[0.5, 1.0, 2.0]]}, "atoms"),
+            ({"kind": "discrete"}, "atoms"),
+            ({"kind": "grid"}, "values"),
+            ({"kind": "grid", "values": [{"a": 1}, 1.0, 1.0]}, "values"),
+            ({"kind": "fourier"}, "coeffs"),
+            ({"kind": "fourier", "coeffs": [[1.0]]}, "coeffs"),
+            ({"kind": "fourier", "coeffs": [[1.0, "x"]]}, "coeffs"),
+        ],
+    )
+    def test_malformed_field_named(self, doc, fieldname):
+        with pytest.raises(ValueError, match=f"field '{fieldname}'"):
+            shift_from_json(doc)
+
+    def test_non_finite_values_rejected(self):
+        nan = float("nan")
+        for doc in (
+            {"kind": "discrete", "atoms": [[nan, 1.0]]},
+            {"kind": "grid", "values": [1.0, nan, 1.0]},
+            {"kind": "fourier", "coeffs": [[nan, 0.0], [1.0, 0.0], [nan, 0.0]]},
+        ):
+            with pytest.raises(ValueError):
+                shift_from_json(doc)
+
+    @given(
+        doc=JSON_VALUES
+        | st.fixed_dictionaries(
+            {"kind": st.sampled_from(["discrete", "grid", "fourier"]) | JSON_VALUES},
+            optional={
+                "atoms": JSON_VALUES | NUMBER_LISTS,
+                "values": JSON_VALUES | NUMBER_LISTS,
+                "coeffs": JSON_VALUES | NUMBER_LISTS,
+            },
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_any_document_decodes_or_raises_value_error(self, doc):
+        try:
+            g = shift_from_json(doc)
+        except ValueError:
+            return
+        assert isinstance(g, ShiftDistribution)
 
 
 class TestFourierCoeff:
