@@ -180,6 +180,8 @@ def _cmd_posterior(args) -> int:
         obs = load_obs(args.data)
     except DatasetFormatError as exc:
         raise ValidationError(str(exc)) from exc
+    if obs.sigma != 1.0:
+        raise ValidationError(f"field 'sigma': posterior needs 1, got {obs.sigma!r}")
     cfg = parse_flat_config(args.prior)
     kind = cfg.get("g_prior", "dp")
     sieve = _sieve_from_config(cfg, obs.n)

@@ -8,6 +8,7 @@ shift by ``phi`` acts as the rotation ``theta_k -> theta_k e^{-i 2 pi k phi}``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,11 +155,16 @@ def series_to_json(theta: FourierSeries) -> dict:
 def series_from_json(obj: dict) -> FourierSeries:
     if not isinstance(obj, dict) or "cutoff" not in obj or "coeffs" not in obj:
         raise ValueError("series JSON must contain 'cutoff' and 'coeffs'")
-    try:
-        cutoff = int(obj["cutoff"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"field 'cutoff': {exc}") from exc
+    cutoff = int_from_json(obj["cutoff"], "cutoff")
     return FourierSeries(cutoff, complex_from_json(obj["coeffs"], "coeffs"))
+
+
+def int_from_json(value, name: str) -> int:
+    """A JSON integer; floats such as 1.9, booleans and strings raise a
+    ``ValueError`` that names the field instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"field '{name}': expected an integer, got {value!r}")
+    return int(value)
 
 
 def complex_to_json(values) -> list:

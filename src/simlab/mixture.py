@@ -86,16 +86,6 @@ class MixtureLaw:
         return self.active_freqs.size
 
 
-def _components(law: MixtureLaw):
-    """Means and log weights of the shift-integral nodes (atoms, or a
-    circle grid of the law's resolution for densities)."""
-    phi, w = law.g.nodes(law.quadrature_points or default_quadrature_points(law.theta))
-    logw = np.full(w.shape, -np.inf)
-    pos = w > 0
-    logw[pos] = np.log(w[pos])
-    return _means(law, phi), logw
-
-
 def _means(law: MixtureLaw, phi: np.ndarray) -> np.ndarray:
     """Matrix of mixture means ``(theta . phi_i)_k``, shape (K, p)."""
     ks = law.active_freqs
@@ -116,49 +106,54 @@ def log_gaussian_density(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def gaussian_density(z, mu) -> float | np.ndarray:
     """Standard complex Gaussian density ``pi^{-p} exp(-||z - mu||^2)``."""
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim <= 1
-    out = np.exp(log_gaussian_density(z_arr, np.asarray(mu, dtype=complex)))
-    if scalar:
-        return float(out[0])
-    return out
+    return _exp_rows(z, log_gaussian_density(z, mu))
+
+
+def _exp_rows(z, log_density: np.ndarray) -> float | np.ndarray:
+    """``exp`` of row-wise log densities; a float for a single ``(p,)`` point."""
+    out = np.exp(log_density)
+    return float(out[0]) if np.ndim(z) <= 1 else out
 
 
 def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     """Log mixture density at the rows of ``z`` (shape (N, p) or (p,)).
 
-    Stabilized by factoring the largest exponent out of the shift sum.
+    The node exponents ``2 Re<z, mu_i> - ||mu_i||^2 + log w_i`` are one real
+    matrix product ``[Re z, Im z, 1] @ B``; the largest is factored out of
+    the shift sum and the common ``-||z||^2`` is added afterwards.
     """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.shape[1] != law.dim:
         raise ValueError(f"points must have dimension {law.dim}, got {z.shape[1]}")
-    mu, logw = _components(law)
-    p = law.dim
+    phi, w = law.g.nodes(law.quadrature_points or default_quadrature_points(law.theta))
+    mu, p = _means(law, phi), law.dim
+    with np.errstate(divide="ignore"):  # zero-weight atoms: log w = -inf
+        logw = np.log(w)
+    mu_sq = np.sum(np.abs(mu) ** 2, axis=1)
+    b = np.vstack([2.0 * mu.real.T, 2.0 * mu.imag.T, logw - mu_sq])
     out = np.empty(z.shape[0])
     # chunk the (N, K) exponent matrix to bound memory
-    chunk = max(1, int(4e6) // max(1, mu.shape[0]))
-    mu_sq = np.sum(np.abs(mu) ** 2, axis=1)
+    chunk = max(1, min(z.shape[0], int(4e6) // max(1, mu.shape[0])))
+    rows = np.empty((chunk, 2 * p + 1))
+    rows[:, 2 * p] = 1.0
+    expo = np.empty((chunk, mu.shape[0]))
     for lo in range(0, z.shape[0], chunk):
         zz = z[lo : lo + chunk]
-        cross = zz @ mu.conj().T
-        expo = (
-            -(np.sum(np.abs(zz) ** 2, axis=1)[:, None] + mu_sq[None, :])
-            + 2.0 * cross.real
-            + logw[None, :]
-        )
-        m = np.max(expo, axis=1)
-        out[lo : lo + chunk] = m + np.log(np.sum(np.exp(expo - m[:, None]), axis=1))
+        n = zz.shape[0]
+        rows[:n, :p] = zz.real
+        rows[:n, p : 2 * p] = zz.imag
+        e = np.matmul(rows[:n], b, out=expo[:n])
+        m = np.max(e, axis=1)
+        e -= m[:, None]
+        np.exp(e, out=e)
+        sq = np.einsum("ij,ij->i", rows[:n, : 2 * p], rows[:n, : 2 * p])
+        out[lo : lo + n] = m + np.log(np.sum(e, axis=1)) - sq
     return out - p * math.log(math.pi)
 
 
 def mixture_density(law: MixtureLaw, z) -> float | np.ndarray:
     """Mixture density ``int gamma(z - theta . phi) dg(phi)`` at ``z``."""
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim <= 1
-    out = np.exp(log_mixture_density(law, z_arr))
-    if scalar:
-        return float(out[0])
-    return out
+    return _exp_rows(z, log_mixture_density(law, z))
 
 
 def log_likelihood(law: MixtureLaw, obs: ObservationSet) -> float:
@@ -180,23 +175,13 @@ def log_likelihood(law: MixtureLaw, obs: ObservationSet) -> float:
     return float(np.sum(log_mixture_density(sub, z)))
 
 
-def _log_shift_integral(law: MixtureLaw, y: np.ndarray) -> float:
-    """``log int exp(2 Re<theta . phi, y> - ||theta||^2) dg(phi)``."""
-    mu, logw = _components(law)
-    expo = 2.0 * (mu.conj() @ y).real - np.sum(np.abs(law.theta.coeffs) ** 2)
-    expo = expo + logw
-    m = float(np.max(expo))
-    return m + math.log(float(np.sum(np.exp(expo - m))))
-
-
 def girsanov_log_ratio(f: MixtureLaw, f0: MixtureLaw, y: np.ndarray) -> float:
     """Log likelihood ratio of two mixture laws at one observed vector.
 
-    Computed as the log ratio of the two shift integrals of
-    ``exp(2 Re<theta . phi, y> - ||theta||^2)``; the Gaussian base factor
-    ``pi^{-p} e^{-||y||^2}`` is common to both laws and cancels, so the
-    value equals the difference of log mixture densities at the common
-    cutoff (the larger of the two, with zero padding).
+    The difference of the two log mixture densities at the common cutoff
+    (the larger of the two, with zero padding): the Gaussian base factor
+    ``pi^{-p} e^{-||y||^2}`` is common to both laws and cancels, leaving the
+    log ratio of the shift integrals of ``exp(2 Re<theta . phi, y> - ||theta||^2)``.
     """
     if f.freqs is not None or f0.freqs is not None:
         raise ValueError("likelihood ratio expects full-window laws")
@@ -206,7 +191,7 @@ def girsanov_log_ratio(f: MixtureLaw, f0: MixtureLaw, y: np.ndarray) -> float:
         raise ValueError(f"observation must have dimension {2 * cut + 1}")
     num = MixtureLaw(project(f.theta, cut), f.g, f.quadrature_points)
     den = MixtureLaw(project(f0.theta, cut), f0.g, f0.quadrature_points)
-    return _log_shift_integral(num, y) - _log_shift_integral(den, y)
+    return float(log_mixture_density(num, y)[0] - log_mixture_density(den, y)[0])
 
 
 def sample_law(law: MixtureLaw, size: int, rng: np.random.Generator) -> np.ndarray:

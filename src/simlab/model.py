@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import FourierSeries, complex_from_json, complex_to_json, project, rotate
+from .fourier import FourierSeries, complex_from_json, complex_to_json, int_from_json
+from .fourier import project, rotate
 from .shifts import ShiftDistribution, sample
 from .special import complex_gaussian_array
 
@@ -141,8 +142,8 @@ def load(path: str) -> ObservationSet:
         if key not in doc:
             raise DatasetFormatError(key, "missing")
     try:
-        n = int(doc["n"])
-        cutoff = int(doc["cutoff"])
+        n = int_from_json(doc["n"], "n")
+        cutoff = int_from_json(doc["cutoff"], "cutoff")
         sigma = float(doc["sigma"])
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError("n/cutoff/sigma", str(exc)) from exc

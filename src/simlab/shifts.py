@@ -155,9 +155,12 @@ class GridDensity(ShiftDistribution):
         return cdf
 
     def fourier(self, ks: np.ndarray) -> np.ndarray:
-        t = self.grid
-        integrand = np.exp(-2j * np.pi * np.multiply.outer(ks, t)) * self.values
-        return np.trapezoid(integrand, t, axis=-1)
+        """Closed-grid trapezoid sum via one FFT of the open grid, for integer
+        ``k``: ``(fft(v[:-1])[k mod m] + (v[m] - v[0]) / 2) / m``."""
+        if not np.all(np.mod(ks, 1) == 0):
+            raise ValueError("grid-density coefficients need integer frequencies")
+        v, m = self.values, self.m
+        return (np.fft.fft(v[:-1])[np.asarray(ks, int) % m] + (v[m] - v[0]) / 2) / m
 
     def quantile(self, u) -> np.ndarray:
         # np.interp on a nondecreasing CDF realizes the right-continuous

@@ -124,18 +124,21 @@ def test_criterion_1_closed_form_oracles():
 
 
 def test_criterion_2_inequality_suite():
+    start = time.time()
     rng = np.random.default_rng(202)
     rows = distance_verification_rows(instances=100, samples=12_000, rng=rng)
     violations = [row for row in rows if not row[4]]
+    elapsed = time.time() - start
     report(
         2,
         len(violations) == 0,
         f"{len(rows)} bound checks over 100 random instances, "
-        f"{len(violations)} violations",
+        f"{len(violations)} violations, {elapsed:.0f}s",
     )
 
 
 def test_criterion_3_bessel():
+    start = time.time()
     worst_gap = 0.0
     for n in range(0, 21):
         for a in np.arange(0.0, 10.0 + 1e-9, 0.5):
@@ -156,15 +159,18 @@ def test_criterion_3_bessel():
             if abs(bessel_i(n, float(a)) / lead - 1.0) >= 2.0 * a / n:
                 equiv_ok = False
     ok = worst_gap < 1e-8 and worst_gen < 1e-10 and equiv_ok
+    elapsed = time.time() - start
     report(
         3,
         ok,
         f"series vs quadrature gap {worst_gap:.1e}, generating identity "
-        f"{worst_gen:.1e}, small-argument equivalent {'ok' if equiv_ok else 'bad'}",
+        f"{worst_gen:.1e}, small-argument equivalent {'ok' if equiv_ok else 'bad'}, "
+        f"{elapsed:.0f}s",
     )
 
 
 def test_criterion_4_girsanov():
+    start = time.time()
     rng = np.random.default_rng(404)
     worst_identity = 0.0
     for _ in range(100):
@@ -192,15 +198,17 @@ def test_criterion_4_girsanov():
     se = ratios.std(ddof=1) / math.sqrt(y.shape[0])
     mean_gap = abs(ratios.mean() - 1.0) / se
     ok = worst_identity < 1e-10 and mean_gap <= 3.0
+    elapsed = time.time() - start
     report(
         4,
         ok,
         f"ratio identity {worst_identity:.1e}, change-of-measure mean "
-        f"{mean_gap:.2f} sigma at 1e5 curves",
+        f"{mean_gap:.2f} sigma at 1e5 curves, {elapsed:.0f}s",
     )
 
 
 def test_criterion_5_priors():
+    start = time.time()
     rng = np.random.default_rng(505)
     sieve = SievePriorConfig.adaptive(100)
     pmf = lambda_pmf(sieve)
@@ -229,12 +237,13 @@ def test_criterion_5_priors():
             smooth_ok = False
 
     ok = norm_ok and var_rel < 0.02 and mean_gap <= 3.0 and var_gap <= 3.0 and smooth_ok
+    elapsed = time.time() - start
     report(
         5,
         ok,
         f"level law normalized {norm_ok}, coefficient variance off by "
         f"{100 * var_rel:.2f}%, stick moments {mean_gap:.2f}/{var_gap:.2f} sigma, "
-        f"smooth draws {'ok' if smooth_ok else 'bad'}",
+        f"smooth draws {'ok' if smooth_ok else 'bad'}, {elapsed:.0f}s",
     )
 
 
@@ -252,6 +261,7 @@ def _aligned_first_coeff_stats(samples):
 
 
 def test_criterion_6_posterior_oracles():
+    start = time.time()
     truth = FourierSeries.from_dict({1: 1.0 + 0j, 2: 0.5 + 0j}, cutoff=2)
     obs = simulate(truth, raised_cosine_density(), 20, 2, sigma=1.0, seed=606)
     prior = PriorConfig(
@@ -283,11 +293,12 @@ def test_criterion_6_posterior_oracles():
     sq = np.abs(refreshed - s_stat[0] / prec) ** 2
     var_gap = abs(sq.mean() - 1.0 / prec) / (sq.std(ddof=1) / 100.0)
     ok = gap_sigma <= 3.0 and mean_gap <= 3.0 and var_gap <= 3.0
+    elapsed = time.time() - start
     report(
         6,
         ok,
         f"two posterior routes differ by {gap_sigma:.2f} sigma; conjugate "
-        f"refresh moments {mean_gap:.2f}/{var_gap:.2f} sigma",
+        f"refresh moments {mean_gap:.2f}/{var_gap:.2f} sigma, {elapsed:.0f}s",
     )
 
 
@@ -324,6 +335,7 @@ def test_criterion_7_contraction_experiment():
 
 
 def test_criterion_8_fano_net():
+    start = time.time()
     net = make_fano_net(8, 1.0, 2.5, 1.5, 2.0)
     invariants = all(is_phase_normalized(f) for f in net.fs)
     for g in net.gs:
@@ -348,16 +360,18 @@ def test_criterion_8_fano_net():
     # (observed max matched TV 1.9e-4 at one million samples)
     matched_small = max(e.value for e in cert.matched) < 1e-3
     ok = invariants and sep_ok and ordering and matched_small
+    elapsed = time.time() - start
     report(
         8,
         ok,
         f"net invariants {invariants}, min shape gap {min(gaps):.4f}, "
         f"matched < mismatched for all members: {ordering}, "
-        f"max matched TV {max(e.value for e in cert.matched):.1e}",
+        f"max matched TV {max(e.value for e in cert.matched):.1e}, {elapsed:.0f}s",
     )
 
 
 def test_criterion_9_bracketing():
+    start = time.time()
     rng = np.random.default_rng(909)
     raw = rng.normal(size=5) + 1j * rng.normal(size=5)
     theta = FourierSeries(2, raw)
@@ -380,12 +394,13 @@ def test_criterion_9_bracketing():
         ):
             containment_ok = False
     ok = count_ok and width_ok and containment_ok
+    elapsed = time.time() - start
     report(
         9,
         ok,
         f"{len(net)} cells (cap {bracket_count_bound(theta, eps)}), pair "
         f"width {bracket_hellinger(5, net[0].delta):.3f} <= {eps}, "
-        f"containment {'ok' if containment_ok else 'bad'}",
+        f"containment {'ok' if containment_ok else 'bad'}, {elapsed:.0f}s",
     )
 
 
@@ -403,6 +418,7 @@ def _random_band_limited_density(rng):
 
 
 def test_criterion_10_identifiability():
+    start = time.time()
     rng = np.random.default_rng(1010)
     theta1 = 0.8
     th = FourierSeries.from_dict({1: theta1 + 0j}, cutoff=1)
@@ -431,9 +447,11 @@ def test_criterion_10_identifiability():
     )
     slope_ok = 1.0 <= probe["slope"] <= 3.5
     ok = zero_ok and worst <= 0.0 and slope_ok
+    elapsed = time.time() - start
     report(
         10,
         ok,
         f"functional >= 0 and zero at equality {zero_ok}; lower-bounds TV "
-        f"with margin {-worst:.1e}; perturbation slope {probe['slope']:.3f}",
+        f"with margin {-worst:.1e}; perturbation slope {probe['slope']:.3f}, "
+        f"{elapsed:.0f}s",
     )

@@ -245,6 +245,24 @@ class TestPosteriorCommand:
         weights = [s["weight"] for s in ensemble["samples"]]
         assert abs(sum(weights) - 1.0) < 1e-9
 
+    def test_non_unit_noise_refused(self, tmp_path, truth_files, capsys):
+        theta_path, g_path = truth_files
+        data = tmp_path / "obs.json"
+        assert main(
+            ["simulate", "--theta", theta_path, "--g", g_path, "--n", "10",
+             "--cutoff", "2", "--sigma", "3", "--seed", "3", "--out", str(data)]
+        ) == 0
+        prior = tmp_path / "prior.cfg"
+        prior.write_text("g_prior = dp\npreset = adaptive\nl_max = 2\n")
+        out = tmp_path / "post"
+        code = main(
+            ["posterior", "--data", str(data), "--prior", str(prior),
+             "--steps", "10", "--seed", "4", "--out", str(out)]
+        )
+        assert code == 1
+        assert "sigma" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestContractionCommand:
     def test_small_run(self, tmp_path, truth_files):

@@ -53,6 +53,10 @@ class TestConstruction:
             ({"cutoff": 0, "coeffs": [1.0, 2.0]}, "coeffs"),
             ({"cutoff": None, "coeffs": [[1.0, 0.0]]}, "cutoff"),
             ({"cutoff": float("inf"), "coeffs": [[1.0, 0.0]]}, "cutoff"),
+            # non-integral cutoffs that int() would truncate to a valid one
+            ({"cutoff": 1.9, "coeffs": [[0.0, 0.0]] * 3}, "cutoff"),
+            ({"cutoff": True, "coeffs": [[0.0, 0.0]] * 3}, "cutoff"),
+            ({"cutoff": "2", "coeffs": [[0.0, 0.0]] * 5}, "cutoff"),
         ],
     )
     def test_malformed_field_named(self, doc, fieldname):

@@ -5,7 +5,8 @@ relative paths only, so the echoed ``run.json`` does not depend on where
 the test runs.  Inputs are literal JSON and config text, independent of
 the package's own encoders.  The expected files live in
 ``tests/data/golden/<case>/``; to rewrite them after a deliberate change
-of output, run ``python tests/test_golden.py`` from the repository root
+of output, run ``python tests/test_golden.py [case ...]`` from the
+repository root (no names: every case; an unknown name exits non-zero)
 and say in the change why the outputs moved.
 """
 
@@ -141,8 +142,13 @@ if __name__ == "__main__":
     import shutil
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        known = ", ".join(sorted(CASES))
+        sys.exit(f"unknown golden case(s) {', '.join(unknown)}; known: {known}")
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in names:
             files = run_case(case, os.path.join(tmp, case))
             target = os.path.join(GOLDEN, case)
             shutil.rmtree(target, ignore_errors=True)

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from simlab.fourier import FourierSeries, project, rotate
 from simlab.mixture import (
     MixtureLaw,
+    default_quadrature_points,
     gaussian_density,
     girsanov_log_ratio,
+    log_gaussian_density,
     log_likelihood,
     log_mixture_density,
     mixture_density,
@@ -107,6 +110,68 @@ class TestMixtureDensity:
     def test_quadrature_floor_enforced(self):
         with pytest.raises(ValueError):
             MixtureLaw(THETA, uniform_density(), quadrature_points=32)
+
+
+def oracle_log_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
+    """Per-node reference: one Gaussian log density per shift node, combined
+    with the log weights by ``scipy.special.logsumexp``."""
+    phi, w = law.g.nodes(law.quadrature_points or default_quadrature_points(law.theta))
+    ks = law.active_freqs
+    coeffs = law.theta.coeffs[ks + law.theta.cutoff]
+    mu = coeffs[None, :] * np.exp(-2j * np.pi * np.outer(phi, ks))
+    with np.errstate(divide="ignore"):
+        logw = np.log(w)
+    return np.array([logsumexp(log_gaussian_density(row, mu) + logw) for row in z])
+
+
+def assert_matches_oracle(law: MixtureLaw, z: np.ndarray):
+    z2 = np.atleast_2d(z)
+    got = log_mixture_density(law, z)
+    want = oracle_log_density(law, z2)
+    assert got.shape == want.shape == (z2.shape[0],)
+    tol = 1e-12 * (1.0 + np.sum(np.abs(z2) ** 2, axis=1))
+    assert np.all(np.abs(got - want) <= tol)
+
+
+def random_rows(rng, n, p, scale=1.0):
+    return scale * (rng.normal(size=(n, p)) + 1j * rng.normal(size=(n, p)))
+
+
+class TestKernelOracle:
+    """The fused kernel against a node-by-node log-sum-exp."""
+
+    def test_grid_law(self):
+        law = MixtureLaw(THETA, raised_cosine_density(256, 0.7), quadrature_points=128)
+        assert_matches_oracle(law, random_rows(np.random.default_rng(20), 200, 5))
+
+    def test_zero_weight_atom(self):
+        g = Discrete(np.array([0.1, 0.4, 0.8]), np.array([0.5, 0.0, 0.5]))
+        law = MixtureLaw(THETA, g)
+        assert_matches_oracle(law, random_rows(np.random.default_rng(21), 200, 5))
+
+    def test_single_row(self):
+        law = MixtureLaw(THETA, raised_cosine_density(), quadrature_points=64)
+        z = random_rows(np.random.default_rng(22), 1, 5)[0]
+        assert_matches_oracle(law, z)
+
+    def test_more_rows_than_one_chunk(self):
+        # 4e6 / 20000 nodes = 200 rows a chunk: two full chunks and a partial one
+        law = MixtureLaw(THETA, raised_cosine_density(), quadrature_points=20000)
+        assert_matches_oracle(law, random_rows(np.random.default_rng(23), 450, 5))
+
+    def test_frequency_subset(self):
+        law = MixtureLaw(
+            THETA, raised_cosine_density(256, 0.5), quadrature_points=256, freqs=(1, -2)
+        )
+        assert_matches_oracle(law, random_rows(np.random.default_rng(24), 200, 2))
+
+    def test_rows_far_from_every_mean(self):
+        rng = np.random.default_rng(25)
+        z = random_rows(rng, 100, 5)
+        z *= 30.0 / np.linalg.norm(z, axis=1)[:, None]
+        law = MixtureLaw(THETA, raised_cosine_density(256, 0.5), quadrature_points=256)
+        assert np.all(np.isfinite(log_mixture_density(law, z)))
+        assert_matches_oracle(law, z)
 
 
 class TestLogLikelihood:
@@ -217,6 +282,17 @@ class TestGirsanov:
         )
         se = ratios.std(ddof=1) / math.sqrt(n)
         assert abs(ratios.mean() - 1.0) < 3.0 * se
+
+    def test_equals_log_density_difference(self):
+        rng = np.random.default_rng(26)
+        atoms = Discrete(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.0, 0.7]))
+        for g, g0 in ((atoms, raised_cosine_density()), (uniform_density(), atoms)):
+            c1, c2 = random_rows(rng, 2, 5, scale=0.6)
+            f = MixtureLaw(FourierSeries(2, c1), g)
+            f0 = MixtureLaw(FourierSeries(2, c2), g0)
+            for y in random_rows(rng, 20, 5):
+                diff = log_mixture_density(f, y)[0] - log_mixture_density(f0, y)[0]
+                assert abs(girsanov_log_ratio(f, f0, y) - diff) <= 1e-12
 
     def test_mixed_cutoffs_use_common_window(self):
         small = MixtureLaw(project(THETA, 1), uniform_density())

@@ -136,6 +136,20 @@ class TestPersistence:
             load(str(path))
         assert "curves" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["n", "cutoff"])
+    @pytest.mark.parametrize("bad", [1.9, True, "2"])
+    def test_non_integral_count_refused(self, tmp_path, key, bad):
+        # a file that would load if int() truncated the value
+        size = {"n": 3, "cutoff": 2, key: int(bad)}
+        obs = simulate(THETA, Discrete.point_mass(0.1), size["n"], size["cutoff"])
+        path = tmp_path / "obs.json"
+        save(obs, str(path))
+        doc = json.loads(path.read_text())
+        doc[key] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match=f"field '{key}'"):
+            load(str(path))
+
     def test_fixture_checksum(self):
         # frozen once from seed 2024; guards serialization drift
         back = load(FIXTURE)

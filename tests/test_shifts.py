@@ -155,6 +155,27 @@ class TestFourierCoeff:
         assert errors[0] > errors[1] > errors[2]
 
 
+class TestGridTransform:
+    @pytest.mark.parametrize("m", [16, 17])
+    def test_matches_explicit_trapezoid_sum(self, m):
+        # closed grid whose two end values differ, so the end correction matters
+        v = np.random.default_rng(m).uniform(0.5, 1.5, m + 1)
+        v[-1] = v[0] + 0.3
+        v /= np.trapezoid(v, dx=1.0 / m)
+        g = GridDensity(v)
+        trap = np.full(m + 1, 1.0 / m)
+        trap[[0, -1]] = 0.5 / m
+        ks = np.arange(-2 * m, 2 * m + 1)
+        phases = np.exp(-2j * np.pi * np.outer(ks, np.arange(m + 1) / m))
+        want = phases @ (trap * g.values)
+        assert np.max(np.abs(fourier_coeff(g, ks) - want)) <= 1e-12
+        assert abs(fourier_coeff(g, 3) - want[2 * m + 3]) <= 1e-12
+
+    def test_non_integer_frequency_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            fourier_coeff(uniform_density(16), 0.5)
+
+
 class TestWasserstein:
     def test_point_masses(self):
         a, b = Discrete.point_mass(0.2), Discrete.point_mass(0.7)
