@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import FourierSeries, complex_from_json, complex_to_json, int_from_json
-from .fourier import project, rotate
+from .fourier import FourierSeries, complex_from_json, complex_to_json, floats_from_json
+from .fourier import int_from_json, project, rotate
 from .shifts import ShiftDistribution, sample
 from .special import complex_gaussian_array
 
@@ -136,43 +137,58 @@ def load(path: str) -> ObservationSet:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DatasetFormatError("<file>", f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DatasetFormatError("<file>", "expected a JSON object")
     for key in ("n", "cutoff", "sigma", "curves"):
         if key not in doc:
             raise DatasetFormatError(key, "missing")
-    try:
-        n = int_from_json(doc["n"], "n")
-        cutoff = int_from_json(doc["cutoff"], "cutoff")
-        sigma = float(doc["sigma"])
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError("n/cutoff/sigma", str(exc)) from exc
+    n = _decode(doc, "n", int_from_json)
+    cutoff = _decode(doc, "cutoff", int_from_json)
+    for key, value in (("n", n), ("cutoff", cutoff)):
+        if value < 0:
+            raise DatasetFormatError(key, f"must be nonnegative, got {value}")
+    sigma = doc["sigma"]
+    if type(sigma) not in (int, float) or not 0.0 <= sigma <= sys.float_info.max:
+        message = f"expected a finite nonnegative number, got {sigma!r}"
+        raise DatasetFormatError("sigma", message)
     rows = doc["curves"]
     if not isinstance(rows, list) or len(rows) != n:
         raise DatasetFormatError("curves", f"expected {n} rows")
     width = 2 * cutoff + 1
-    curves = np.empty((n, width), dtype=complex)
-    for j, row in enumerate(rows):
+    for j, row in enumerate(rows):  # before allocating, so cutoff is bounded
         if not isinstance(row, list) or len(row) != width:
             raise DatasetFormatError("curves", f"row {j} must have {width} entries")
+    try:
+        curves = np.empty((n, width), dtype=complex)
+    except ValueError as exc:  # only reachable with no rows
+        raise DatasetFormatError("cutoff", str(exc)) from exc
+    for j, row in enumerate(rows):
         try:
             curves[j] = complex_from_json(row, "curves")
         except ValueError as exc:
             message = f"row {j} is not a list of [re, im] number pairs"
             raise DatasetFormatError("curves", message) from exc
-    shifts = doc.get("true_shifts")
-    if shifts is not None:
-        if not isinstance(shifts, list) or len(shifts) != n:
+    shifts = None
+    if doc.get("true_shifts") is not None:
+        shifts = _decode(doc, "true_shifts", floats_from_json)
+        if shifts.shape != (n,):
             raise DatasetFormatError("true_shifts", f"expected {n} entries")
-        shifts = np.asarray(shifts, dtype=float)
-    seed = doc.get("seed")
+        if not np.all((shifts >= 0.0) & (shifts < 1.0)):
+            raise DatasetFormatError("true_shifts", "entries must lie in [0, 1)")
+    seed = None if doc.get("seed") is None else _decode(doc, "seed", int_from_json)
     try:
-        return ObservationSet(
-            cutoff,
-            sigma,
-            curves,
-            true_shifts=shifts,
-            seed=None if seed is None else int(seed),
-        )
+        return ObservationSet(cutoff, float(sigma), curves, true_shifts=shifts, seed=seed)
     except ValueError as exc:
         raise DatasetFormatError("curves", str(exc)) from exc
+
+
+def _decode(doc: dict, key: str, decoder):
+    """``decoder(doc[key], key)``, its field-naming ``ValueError`` raised
+    again as a :class:`DatasetFormatError`."""
+    try:
+        return decoder(doc[key], key)
+    except ValueError as exc:
+        message = str(exc).removeprefix(f"field '{key}': ")
+        raise DatasetFormatError(key, message) from exc

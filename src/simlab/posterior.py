@@ -142,12 +142,6 @@ def align_pair(
     return rotate(theta, c), shift_measure(g, -c)
 
 
-def _sample_prior_g(prior: PriorConfig, rng) -> ShiftDistribution:
-    if prior.kind == "dp":
-        return sample_dp(prior.shift_prior, rng)
-    return sample_smooth(prior.shift_prior, rng)
-
-
 def importance_posterior(
     obs: ObservationSet,
     prior_kind: str,
@@ -166,12 +160,13 @@ def importance_posterior(
         raise ValueError("need at least one draw")
     if prior_kind != prior_cfg.kind:
         raise ValueError(f"prior kind {prior_kind!r} does not match the config")
+    sample_g = sample_dp if prior_cfg.kind == "dp" else sample_smooth
     thetas = []
     gs = []
     logl = np.empty(draws)
     for d in range(draws):
         theta = sample_f(prior_cfg.sieve, rng)
-        g = _sample_prior_g(prior_cfg, rng)
+        g = sample_g(prior_cfg.shift_prior, rng)
         thetas.append(theta)
         gs.append(g)
         law = MixtureLaw(project(theta, obs.cutoff), g)
@@ -215,7 +210,7 @@ class GibbsSampler:
         self.xi2 = prior.sieve.xi2
         self.level_pmf = lambda_pmf(prior.sieve)
         self.phi = np.arange(phi_grid) / phi_grid
-        self.grid_matrix = np.exp(2j * np.pi * np.outer(self.ks, self.phi))
+        self.grid_basis = _fourier_basis(self.ks, self.phi)
         self.level_accepted = 0
         self.level_proposed = 0
         self.pcn_accepted = 0
@@ -232,12 +227,11 @@ class GibbsSampler:
             g0 = sample_dp(prior.shift_prior, rng)
             self.atoms = g0.positions.copy()
             self.stick_w = g0.weights.copy()
-            self.assignments = rng.integers(0, self.atoms.size, size=self.n)
-            self.tau = self.atoms[self.assignments]
             base = prior.shift_prior.base_density
-            self.log_base = np.log(
-                np.maximum(np.interp(self.phi, base.grid, base.values), 1e-300)
-            )
+            on_grid = np.maximum(np.interp(self.phi, base.grid, base.values), 1e-300)
+            self.log_base = np.log(on_grid)
+            cdf = np.cumsum(on_grid)
+            self.base_cdf = cdf / cdf[-1]  # ends in exactly 1, above any uniform
         else:
             cfg = prior.shift_prior
             # GP trajectories live on the sampler's shift grid
@@ -247,8 +241,9 @@ class GibbsSampler:
             self.g_density, self.w_process = sample_smooth_with_process(
                 self.smooth_cfg, rng
             )
-            self.tau_idx = rng.integers(0, phi_grid, size=self.n)
-            self.tau = self.phi[self.tau_idx]
+        # each curve's shift is shift_candidates()[assignments]
+        self.assignments = rng.integers(0, self.shift_candidates().size, size=self.n)
+        self.tau = self.shift_candidates()[self.assignments]
 
     # -- shift update -------------------------------------------------
 
@@ -259,29 +254,17 @@ class GibbsSampler:
 
     def shift_log_weights(self) -> np.ndarray:
         """Unnormalized log posterior of each curve's shift over candidates."""
-        cands = self.shift_candidates()
         if self.prior.kind == "dp":
             logw = np.log(np.maximum(self.stick_w, 1e-300))
-            basis = np.exp(2j * np.pi * np.outer(self.ks, cands))
+            basis = _fourier_basis(self.ks, self.atoms)
         else:
-            logz = _log_trapz_exp(self.w_process)
-            w_at = self.w_process[:-1]
-            logw = w_at - logz
-            basis = self.grid_matrix
-        b = self.Y * np.conj(self.theta)[None, :]
-        cross = b @ basis
-        return logw[None, :] + 2.0 * cross.real
+            logw = self.w_process[:-1] - _log_trapz_exp(self.w_process)
+            basis = self.grid_basis
+        return _real_part_logits(self.Y * np.conj(self.theta), basis, logw)
 
     def update_shifts(self):
-        logits = self.shift_log_weights()
-        gumbel = self.rng.gumbel(size=logits.shape)
-        idx = np.argmax(logits + gumbel, axis=1)
-        if self.prior.kind == "dp":
-            self.assignments = idx
-            self.tau = self.atoms[idx]
-        else:
-            self.tau_idx = idx
-            self.tau = self.phi[idx]
+        self.assignments = _categorical(self.shift_log_weights(), self.rng)
+        self.tau = self.shift_candidates()[self.assignments]
 
     # -- shape update -------------------------------------------------
 
@@ -333,44 +316,32 @@ class GibbsSampler:
         from the prior, whose density cancels against the proposal);
         ``new_level = level - 1`` removes the current boundary pair.
         """
+        if abs(new_level - self.level) != 1:
+            raise ValueError("level moves are between adjacent levels only")
         lam = self.level_pmf
-        if new_level == self.level + 1:
-            prior_term = math.log(lam[new_level - 1]) - math.log(lam[self.level - 1])
-            return prior_term + self._pair_loglik_gain(new_level, coeff_pos, coeff_neg)
-        if new_level == self.level - 1:
-            prior_term = math.log(lam[new_level - 1]) - math.log(lam[self.level - 1])
-            return prior_term - self._pair_loglik_gain(self.level, coeff_pos, coeff_neg)
-        raise ValueError("level moves are between adjacent levels only")
+        prior_term = math.log(lam[new_level - 1]) - math.log(lam[self.level - 1])
+        gain = self._pair_loglik_gain(max(new_level, self.level), coeff_pos, coeff_neg)
+        return prior_term + gain if new_level > self.level else prior_term - gain
 
     def update_level(self):
         self.level_proposed += 1
         go_up = self.rng.random() < 0.5
+        new_level = self.level + 1 if go_up else self.level - 1
+        if not 1 <= new_level <= self.l_max:
+            return
+        k = max(new_level, self.level)
+        pair_idx = [k + self.l_max, -k + self.l_max]
         if go_up:
-            if self.level + 1 > self.l_max:
-                return
-            k = self.level + 1
             pair = math.sqrt(self.xi2) * complex_gaussian_array(self.rng, 2)
-            log_r = self._level_log_ratio(k, pair[0], pair[1])
         else:
-            if self.level - 1 < 1:
-                return
-            k = self.level
-            pair = np.array(
-                [self.theta[k + self.l_max], self.theta[-k + self.l_max]]
-            )
-            log_r = self._level_log_ratio(self.level - 1, pair[0], pair[1])
+            pair = self.theta[pair_idx]
+        log_r = self._level_log_ratio(new_level, pair[0], pair[1])
         if self.level_log is not None:
             self.level_log.append((log_r, -log_r))
         if math.log(self.rng.random()) < min(0.0, log_r):
             self.level_accepted += 1
-            if go_up:
-                self.level += 1
-                self.theta[k + self.l_max] = pair[0]
-                self.theta[-k + self.l_max] = pair[1]
-            else:
-                self.theta[k + self.l_max] = 0.0
-                self.theta[-k + self.l_max] = 0.0
-                self.level -= 1
+            self.theta[pair_idx] = pair if go_up else 0.0
+            self.level = new_level
 
     # -- mixing law ----------------------------------------------------
 
@@ -382,16 +353,19 @@ class GibbsSampler:
         v = self.rng.beta(1.0 + counts[:-1], cfg.total_mass + tail[:-1])
         self.stick_w = stick_breaking(v)
         # atom locations: categorical on the grid, conjugate to the
-        # per-cluster sums of rotated observations
-        b = np.conj(self.theta)[None, :]
+        # per-cluster sums of rotated observations; an empty cluster's sum
+        # is zero, so its atom comes from the base CDF (Ishwaran & James 2001)
         cluster_sums = np.zeros((k, self.p), dtype=complex)
         np.add.at(cluster_sums, self.assignments, self.Y)
-        logits = self.log_base[None, :] + 2.0 * (
-            (cluster_sums * b) @ self.grid_matrix
-        ).real
-        gumbel = self.rng.gumbel(size=logits.shape)
-        self.atoms = self.phi[np.argmax(logits + gumbel, axis=1)]
-        self.tau = self.atoms[self.assignments]
+        occupied = counts > 0
+        atoms = np.empty(k)
+        u = self.rng.random(k - int(occupied.sum()))
+        atoms[~occupied] = self.phi[np.searchsorted(self.base_cdf, u, side="right")]
+        b = cluster_sums[occupied] * np.conj(self.theta)
+        logits = _real_part_logits(b, self.grid_basis, self.log_base)
+        atoms[occupied] = self.phi[_categorical(logits, self.rng)]
+        self.atoms = atoms
+        self.tau = atoms[self.assignments]
 
     def _update_smooth(self):
         cfg = self.smooth_cfg
@@ -404,8 +378,8 @@ class GibbsSampler:
             return
         logz_old = _log_trapz_exp(self.w_process)
         logz_new = _log_trapz_exp(proposal)
-        old_vals = self.w_process[self.tau_idx]
-        new_vals = proposal[self.tau_idx]
+        old_vals = self.w_process[self.assignments]
+        new_vals = proposal[self.assignments]
         log_r = float(np.sum(new_vals - old_vals)) - self.n * (logz_new - logz_old)
         if math.log(self.rng.random()) < min(0.0, log_r):
             self.pcn_accepted += 1
@@ -463,6 +437,32 @@ class GibbsSampler:
             "l_max": self.l_max,
         }
         return PosteriorEnsemble(samples, diag, cfg)
+
+
+def _fourier_basis(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The ``(2p, len(x))`` real basis ``[cos; sin](2 pi k x)`` over ``ks``."""
+    arg = 2.0 * np.pi * np.outer(ks, x)
+    return np.concatenate([np.cos(arg), np.sin(arg)])
+
+
+def _real_part_logits(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray):
+    """``log_w + 2 Re(b e^{2 pi i k x})``: ``[2 Re b, -2 Im b]`` @ basis."""
+    out = np.concatenate([2.0 * b.real, -2.0 * b.imag], axis=1) @ basis
+    out += log_w
+    return out
+
+
+def _categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index per row with probability proportional to ``exp(logits)``
+    (overwritten): the count of cumulative masses ``<= u``, with ``u`` one
+    uniform scaled by the row total and held below it, so the index never
+    has zero probability."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    cdf = np.cumsum(logits, axis=1, out=logits)
+    total = cdf[:, -1]
+    u = np.minimum(rng.random(cdf.shape[0]) * total, np.nextafter(total, 0.0))
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
 def _log_trapz_exp(w: np.ndarray) -> float:

@@ -263,6 +263,37 @@ class TestPosteriorCommand:
         assert "sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("seed", 1.9),
+            ("true_shifts", [0.5] * 9 + [1.5]),
+            ("true_shifts", [0.5] * 9 + [float("nan")]),
+            ("true_shifts", ["x"] * 10),
+            ("sigma", "1"),
+        ],
+    )
+    def test_malformed_dataset_field_named(self, tmp_path, truth_files, capsys, key, bad):
+        theta_path, g_path = truth_files
+        data = tmp_path / "obs.json"
+        assert main(
+            ["simulate", "--theta", theta_path, "--g", g_path, "--n", "10",
+             "--cutoff", "2", "--seed", "3", "--out", str(data)]
+        ) == 0
+        doc = json.loads(data.read_text())
+        doc[key] = bad
+        data.write_text(json.dumps(doc))
+        prior = tmp_path / "prior.cfg"
+        prior.write_text("g_prior = dp\npreset = adaptive\nl_max = 2\n")
+        out = tmp_path / "post"
+        code = main(
+            ["posterior", "--data", str(data), "--prior", str(prior),
+             "--steps", "10", "--seed", "4", "--out", str(out)]
+        )
+        assert code == 1
+        assert f"field '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestContractionCommand:
     def test_small_run(self, tmp_path, truth_files):

@@ -7,10 +7,14 @@ the package's own encoders.  The expected files live in
 ``tests/data/golden/<case>/``; to rewrite them after a deliberate change
 of output, run ``python tests/test_golden.py [case ...]`` from the
 repository root (no names: every case; an unknown name exits non-zero)
-and say in the change why the outputs moved.
+and say in the change why the outputs moved.  The rewrite prints one
+line per file: ``unchanged``, or ``changed`` and whether its skeleton
+(the bytes with every number masked: keys, CSV header, PASS/FAIL text)
+is identical.
 """
 
 import os
+import re
 import sys
 
 import pytest
@@ -129,6 +133,35 @@ def _golden(name: str) -> dict[str, bytes]:
     return out
 
 
+NUMBER = re.compile(
+    rb"(?<![\w.])-?(?:\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|NaN|Infinity|nan|inf)(?![\w.])"
+)
+
+
+def skeleton(data: bytes) -> bytes:
+    """The bytes with every number replaced by ``#``."""
+    return NUMBER.sub(b"#", data)
+
+
+def describe(old: bytes | None, new: bytes | None) -> str:
+    """How a rewritten golden file compares with the copy it replaces."""
+    if old is None or new is None:
+        return "added" if old is None else "removed"
+    if old == new:
+        return "unchanged"
+    same = skeleton(old) == skeleton(new)
+    return f"changed, skeleton {'identical' if same else 'differs'}"
+
+
+def test_skeleton_masks_numbers_only():
+    text = b'{"H2": -1.5e-07, "seed": 4, "x": NaN}\nn,eps_n\n12,0.5\nPASS 3 of 4\n'
+    want = b'{"H2": #, "seed": #, "x": #}\nn,eps_n\n#,#\nPASS # of #\n'
+    assert skeleton(text) == want
+    assert describe(text, text) == "unchanged"
+    assert describe(text, text.replace(b"0.5", b"0.25")) == "changed, skeleton identical"
+    assert describe(text, text.replace(b"PASS", b"FAIL")) == "changed, skeleton differs"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_byte_identical(name, tmp_path):
     got = run_case(name, str(tmp_path / name))
@@ -151,9 +184,11 @@ if __name__ == "__main__":
         for case in names:
             files = run_case(case, os.path.join(tmp, case))
             target = os.path.join(GOLDEN, case)
+            old = _golden(case) if os.path.isdir(target) else {}
             shutil.rmtree(target, ignore_errors=True)
             os.makedirs(target)
             for fname, data in files.items():
                 with open(os.path.join(target, fname), "wb") as fh:
                     fh.write(data)
-            print(f"{case}: {len(files)} files", file=sys.stderr)
+            for fname in sorted(set(old) | set(files)):
+                print(f"{case}/{fname}: {describe(old.get(fname), files.get(fname))}")

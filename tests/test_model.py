@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from simlab.fourier import FourierSeries, project, rotate
@@ -16,6 +19,61 @@ from simlab.special import a_n_scaled
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "observations_small.json")
 
 THETA = FourierSeries.from_dict({0: 0.3 + 0j, 1: 1.0 + 0j, 2: 0.25j}, cutoff=2)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def saved_document(n=3, cutoff=2) -> dict:
+    obs = simulate(THETA, Discrete.point_mass(0.1), n, cutoff, seed=5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obs.json")
+        save(obs, path)
+        with open(path) as fh:
+            return json.load(fh)
+
+
+def load_document(doc: dict) -> ObservationSet:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obs.json")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc))
+        return load(path)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A saved dataset with one to three of its fields, rows, pairs or
+    numbers replaced by arbitrary JSON, or with a top-level key removed."""
+    doc = saved_document()
+    keys = ["n", "cutoff", "sigma", "seed", "curves", "true_shifts", "extra"]
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["set", "delete", "row", "pair", "number", "shift"]))
+        value = draw(JSON_VALUES)
+        if action == "set":
+            doc[draw(st.sampled_from(keys))] = value
+        elif action == "delete":
+            doc.pop(draw(st.sampled_from(keys)), None)
+        elif action == "shift" and isinstance(doc.get("true_shifts"), list):
+            shifts = doc["true_shifts"]
+            if shifts:
+                shifts[draw(st.integers(0, len(shifts) - 1))] = value
+        elif isinstance(doc.get("curves"), list) and doc["curves"]:
+            rows = doc["curves"]
+            j = draw(st.integers(0, len(rows) - 1))
+            if action == "row":
+                rows[j] = value
+            elif isinstance(rows[j], list) and rows[j]:
+                i = draw(st.integers(0, len(rows[j]) - 1))
+                if action == "pair":
+                    rows[j][i] = value
+                elif isinstance(rows[j][i], list) and rows[j][i]:
+                    rows[j][i][draw(st.integers(0, len(rows[j][i]) - 1))] = value
+    return doc
 
 
 class TestSimulate:
@@ -149,6 +207,56 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(DatasetFormatError, match=f"field '{key}'"):
             load(str(path))
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("seed", 1.9),
+            ("seed", True),
+            ("seed", "2"),
+            ("true_shifts", [0.5, 1.5, -0.2]),
+            ("true_shifts", [0.1, float("nan"), 0.2]),
+            ("true_shifts", [0.1, float("inf"), 0.2]),
+            ("true_shifts", ["a", "b", "c"]),
+            ("true_shifts", [[0.1], [0.2], [0.3]]),
+            ("sigma", "3"),
+            ("sigma", True),
+            ("sigma", None),
+            ("sigma", float("nan")),
+            ("sigma", -1.0),
+            pytest.param("sigma", 10**400, id="sigma-huge_int"),
+            ("cutoff", -1),
+        ],
+    )
+    def test_bad_field_named(self, key, bad):
+        doc = saved_document()
+        doc[key] = bad
+        with pytest.raises(DatasetFormatError, match=f"field '{key}'"):
+            load_document(doc)
+
+    def test_empty_batch_with_huge_cutoff_named(self):
+        doc = {"n": 0, "cutoff": 10**30, "sigma": 1.0, "curves": []}
+        with pytest.raises(DatasetFormatError, match="field 'cutoff'"):
+            load_document(doc)
+
+    def test_integral_sigma_and_null_seed_load(self):
+        doc = saved_document()
+        doc["sigma"], doc["seed"], doc["true_shifts"] = 1, None, None
+        obs = load_document(doc)
+        assert obs.sigma == 1.0 and obs.seed is None and obs.true_shifts is None
+
+    @given(doc=mutated_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_document_loads_or_names_a_field(self, doc):
+        try:
+            obs = load_document(doc)
+        except DatasetFormatError as exc:
+            assert str(exc).startswith(f"field '{exc.fieldname}': ")
+            return
+        assert obs.curves.shape == (obs.n, 2 * obs.cutoff + 1)
+        assert 0.0 <= obs.sigma < float("inf")
+        if obs.true_shifts is not None:
+            assert np.all((obs.true_shifts >= 0.0) & (obs.true_shifts < 1.0))
 
     def test_fixture_checksum(self):
         # frozen once from seed 2024; guards serialization drift

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from simlab.fourier import FourierSeries, project
 from simlab.mixture import MixtureLaw, log_mixture_density
@@ -17,6 +18,7 @@ from simlab.posterior import (
     gibbs_posterior,
     importance_posterior,
     shift_measure,
+    _categorical,
 )
 from simlab.priors import DirichletPriorConfig, SievePriorConfig, SmoothPriorConfig
 from simlab.shifts import (
@@ -187,6 +189,104 @@ class TestGibbsConjugacy:
         modes = sampler.phi[np.argmax(logits, axis=1)]
         target = round(0.3 * 1024) / 1024.0
         assert np.allclose(modes, target)
+
+
+def _softmax(row):
+    p = np.exp(row - np.max(row))
+    return p / p.sum()
+
+
+class _ConstantUniform:
+    """Stand-in generator whose every uniform is the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return np.full(size, self.value)
+
+
+class TestCategorical:
+    @pytest.mark.parametrize(
+        "row, draws, seed",
+        [
+            ([0.3, -np.inf, 1.2, -np.inf, -0.5, 0.0], 20_000, 21),
+            (np.linspace(-3.0, 2.0, 50) ** 2 / 4.0, 10**5, 22),
+        ],
+    )
+    def test_matches_softmax(self, row, draws, seed):
+        row = np.asarray(row, dtype=float)
+        idx = _categorical(np.tile(row, (draws, 1)), np.random.default_rng(seed))
+        counts = np.bincount(idx, minlength=row.size)
+        p = _softmax(row)
+        assert np.all(counts[p == 0.0] == 0)
+        pos = p > 0.0
+        result = stats.chisquare(counts[pos], draws * p[pos])
+        assert result.pvalue > 1e-3
+
+    def test_single_finite_entry(self):
+        row = np.array([-np.inf, -np.inf, 2.0, -np.inf])
+        idx = _categorical(np.tile(row, (500, 1)), np.random.default_rng(23))
+        assert np.all(idx == 2)
+
+    # 1.0 lies outside the generator's range; it stands in for a scaled
+    # uniform that rounds up to the row total
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53, 1.0])
+    def test_extreme_uniform_never_picks_zero_mass(self, u):
+        logits = np.array(
+            [
+                [-np.inf, 0.0, 1.0, -np.inf, -np.inf],
+                [-np.inf, -np.inf, 0.0, -np.inf, 3.0],
+                [2.0, -np.inf, -np.inf, 0.5, -np.inf],
+                [-800.0, 0.0, -np.inf, 1e-3, -np.inf],
+            ]
+        )
+        p = np.array([_softmax(row) for row in logits])
+        idx = _categorical(logits.copy(), _ConstantUniform(u))
+        assert np.all(p[np.arange(len(idx)), idx] > 0.0)
+
+
+class TestDirichletAtomUpdate:
+    def test_atoms_match_gumbel_max_oracle(self):
+        # three occupied clusters of two curves each; the other 97 are empty
+        obs = simulate(TRUTH, raised_cosine_density(), 6, 2, seed=31)
+        prior = PriorConfig(
+            SievePriorConfig.adaptive(6, l_max=2),
+            DirichletPriorConfig(raised_cosine_density(256), 1.0, 100),
+        )
+        sampler = GibbsSampler(obs, prior, np.random.default_rng(32))
+        sampler.assignments = np.array([0, 0, 1, 1, 7, 7])
+        sampler.theta = project(TRUTH, sampler.l_max).coeffs.copy()
+        draws = 2000
+        got = np.empty((draws, 100))
+        for d in range(draws):
+            sampler._update_dp()
+            got[d] = sampler.atoms
+
+        # the conditional of every atom by Gumbel-max over all 100 rows
+        rng = np.random.default_rng(33)
+        sums = np.zeros((100, sampler.p), dtype=complex)
+        np.add.at(sums, sampler.assignments, sampler.Y)
+        basis = np.exp(2j * np.pi * np.outer(sampler.ks, sampler.phi))
+        logits = sampler.log_base[None, :] + 2.0 * (
+            (sums * np.conj(sampler.theta)) @ basis
+        ).real
+        want = np.empty((draws, 100))
+        for d in range(draws):
+            gumbel = rng.gumbel(size=logits.shape)
+            want[d] = sampler.phi[np.argmax(logits + gumbel, axis=1)]
+
+        def same_law(a, b):
+            table = np.array(
+                [np.bincount((x * 16).astype(int), minlength=16) for x in (a, b)]
+            )
+            table = table[:, table.sum(axis=0) > 0]
+            return stats.chi2_contingency(table)[1] > 1e-3
+
+        occupied = np.isin(np.arange(100), sampler.assignments)
+        assert same_law(got[:, ~occupied].ravel(), want[:, ~occupied].ravel())
+        for c in np.flatnonzero(occupied):
+            assert same_law(got[:, c], want[:, c])
 
 
 class TestLevelMove:
