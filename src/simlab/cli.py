@@ -23,6 +23,7 @@ from . import __version__
 from .distances import (
     DistanceEstimate,
     NonFiniteDensityError,
+    N_SIGMA,
     check_sandwich,
     e1_bound,
     e3_bound,
@@ -46,6 +47,7 @@ from .priors import (
     RejectionLimitError,
     SievePriorConfig,
     SmoothPriorConfig,
+    _require,
     parse_flat_config,
     sample_dp,
     sample_f,
@@ -57,7 +59,6 @@ from .shifts import (
     raised_cosine_density,
     shift_from_json,
     shift_to_json,
-    uniform_density,
 )
 from .special import a_n, bessel_i
 
@@ -96,52 +97,88 @@ def _load_json(path: str):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _sieve_from_config(cfg: dict, n: int) -> SievePriorConfig:
-    preset = cfg.get("preset", "adaptive")
-    kw = {}
-    for key in ("c", "rho"):
+# smooth-prior keys of a posterior run; prior-sample also reads "grid"
+_SMOOTH_KEYS = {"nu": float, "radius": float, "max_rejections": int}
+
+
+def _read(cfg: dict, kinds: dict, required: tuple = ()) -> dict:
+    """Pop the keys of ``kinds`` present in ``cfg``, each converted by its
+    type (``int`` or ``float``); a value that does not convert is refused,
+    and so is an absent ``required`` key.  Any other absent key is left to
+    the config dataclass's default."""
+    out = {}
+    for key, kind in kinds.items():
         if key in cfg:
-            kw[key] = float(cfg[key])
-    if "l_max" in cfg:
-        kw["l_max"] = int(cfg["l_max"])
+            text = cfg.pop(key)
+            try:
+                out[key] = kind(text)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ValidationError(f"field '{key}': expected {what}, got {text!r}")
+        elif key in required:
+            raise ValidationError(f"field '{key}': missing; {required} are required")
+    return out
+
+
+def _sieve_from_config(cfg: dict, n: int) -> SievePriorConfig:
+    preset = cfg.pop("preset", "adaptive")
+    kw = _read(cfg, {"c": float, "rho": float, "l_max": int})
     if preset == "adaptive":
         return SievePriorConfig.adaptive(n, **kw)
     if preset == "nonadaptive":
-        return SievePriorConfig.non_adaptive(n, float(cfg.get("s", 1.0)), **kw)
+        s = _read(cfg, {"s": float}).get("s", 1.0)
+        return SievePriorConfig.non_adaptive(n, s, **kw)
     if preset == "manual":
-        if "mu" not in cfg or "zeta" not in cfg:
-            raise ValidationError("manual sieve preset needs 'mu' and 'zeta'")
-        return SievePriorConfig(
-            n=n, mu=float(cfg["mu"]), zeta=float(cfg["zeta"]), **kw
-        )
-    raise ValidationError(f"unknown sieve preset {preset!r}")
-
-
-def _base_density(cfg: dict) -> GridDensity:
-    grid = int(cfg.get("base_grid", 512))
-    amplitude = float(cfg.get("base_amplitude", 0.0))
-    if amplitude == 0.0:
-        return uniform_density(grid)
-    return raised_cosine_density(grid, amplitude)
+        kw |= _read(cfg, {"mu": float, "zeta": float}, required=("mu", "zeta"))
+        return SievePriorConfig(n=n, **kw)
+    raise ValidationError(f"field 'preset': unknown sieve preset {preset!r}")
 
 
 def _dp_from_config(cfg: dict) -> DirichletPriorConfig:
-    return DirichletPriorConfig(
-        _base_density(cfg),
-        total_mass=float(cfg.get("mass", 1.0)),
-        truncation=int(cfg.get("truncation", 200)),
-    )
+    kw = _read(cfg, {"mass": float, "truncation": int})
+    if "mass" in kw:
+        kw["total_mass"] = kw.pop("mass")
+    base = _read(cfg, {"base_grid": int, "base_amplitude": float})
+    grid, amplitude = base.get("base_grid", 512), base.get("base_amplitude", 0.0)
+    _require(grid >= 2, "base_grid", "must be at least 2", grid)
+    _require(abs(amplitude) <= 1.0, "base_amplitude", "must lie in [-1, 1]", amplitude)
+    # amplitude 0 gives the uniform base density, bit for bit
+    return DirichletPriorConfig(raised_cosine_density(grid, amplitude), **kw)
 
 
-def _smooth_from_config(cfg: dict) -> SmoothPriorConfig:
-    if "nu" not in cfg or "radius" not in cfg:
-        raise ValidationError("smooth prior config needs 'nu' and 'radius'")
-    return SmoothPriorConfig(
-        nu=float(cfg["nu"]),
-        radius=float(cfg["radius"]),
-        grid=int(cfg.get("grid", 1024)),
-        max_rejections=int(cfg.get("max_rejections", 1000)),
-    )
+def _smooth_from_config(cfg: dict, kinds: dict) -> SmoothPriorConfig:
+    return SmoothPriorConfig(**_read(cfg, kinds, required=("nu", "radius")))
+
+
+def prior_from_config(path: str, kind: str, n: int | None = None):
+    """The prior a flat config file describes, for ``prior-sample --kind``
+    ``kind`` or, with ``kind = "posterior"``, the joint prior of a
+    posterior run on ``n`` curves.
+
+    The readers pop each key they read, so a key left over was read by
+    nothing and is refused by name: ``n`` is read only for ``--kind sieve``
+    and ``grid`` not by ``posterior``, whose sampler puts the smooth prior's
+    process on its own shift grid.
+    """
+    cfg = parse_flat_config(path)
+    if kind == "sieve":
+        prior = _sieve_from_config(cfg, _read(cfg, {"n": int}).get("n", 100))
+    elif kind == "dp":
+        prior = _dp_from_config(cfg)
+    elif kind == "smooth":
+        prior = _smooth_from_config(cfg, _SMOOTH_KEYS | {"grid": int})
+    else:
+        g_prior = cfg.pop("g_prior", "dp")
+        if g_prior not in ("dp", "smooth"):
+            raise ValidationError(f"field 'g_prior': unknown g_prior {g_prior!r}")
+        sieve = _sieve_from_config(cfg, n)
+        if g_prior == "dp":
+            prior = PriorConfig(sieve, _dp_from_config(cfg))
+        else:
+            prior = PriorConfig(sieve, _smooth_from_config(cfg, _SMOOTH_KEYS))
+    for key in cfg:
+        raise ValidationError(f"field '{key}': not read by a {kind} run")
+    return prior
 
 
 # -- subcommands -------------------------------------------------------------
@@ -156,21 +193,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_PRIOR_SAMPLERS = {
+    "sieve": lambda prior, rng: series_to_json(sample_f(prior, rng)),
+    "dp": lambda prior, rng: shift_to_json(sample_dp(prior, rng)),
+    "smooth": lambda prior, rng: shift_to_json(sample_smooth(prior, rng)),
+}
+
+
 def _cmd_prior_sample(args) -> int:
-    cfg = parse_flat_config(args.config)
+    prior = prior_from_config(args.config, args.kind)
     rng = np.random.default_rng(args.seed)
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         path = os.path.join(args.out, f"draw_{i:04d}.json")
-        if args.kind == "sieve":
-            draw = sample_f(_sieve_from_config(cfg, int(cfg.get("n", 100))), rng)
-            _write_json(path, series_to_json(draw))
-        elif args.kind == "dp":
-            _write_json(path, shift_to_json(sample_dp(_dp_from_config(cfg), rng)))
-        else:
-            _write_json(
-                path, shift_to_json(sample_smooth(_smooth_from_config(cfg), rng))
-            )
+        _write_json(path, _PRIOR_SAMPLERS[args.kind](prior, rng))
     _echo_run_config(args.out, args)
     return 0
 
@@ -182,15 +218,7 @@ def _cmd_posterior(args) -> int:
         raise ValidationError(str(exc)) from exc
     if obs.sigma != 1.0:
         raise ValidationError(f"field 'sigma': posterior needs 1, got {obs.sigma!r}")
-    cfg = parse_flat_config(args.prior)
-    kind = cfg.get("g_prior", "dp")
-    sieve = _sieve_from_config(cfg, obs.n)
-    if kind == "dp":
-        prior = PriorConfig(sieve, _dp_from_config(cfg))
-    elif kind == "smooth":
-        prior = PriorConfig(sieve, _smooth_from_config(cfg))
-    else:
-        raise ValidationError(f"unknown g_prior {kind!r}")
+    prior = prior_from_config(args.prior, "posterior", obs.n)
     rng = np.random.default_rng(args.seed)
     ens = gibbs_posterior(obs, prior, args.steps, rng)
     os.makedirs(args.out, exist_ok=True)
@@ -300,8 +328,8 @@ def _random_shift_dist(rng, kind: int):
 
 
 def _check_row(name: str, est: DistanceEstimate, bound: float) -> list:
-    """Report row; the check passes within three standard errors of the bound."""
-    ok = est.value <= bound + 3 * est.std_error
+    """Report row; the check passes within ``N_SIGMA`` standard errors of the bound."""
+    ok = est.value <= bound + N_SIGMA * est.std_error
     return [name, est.value, bound, est.std_error, ok]
 
 
@@ -327,7 +355,7 @@ def distance_verification_rows(
         h2 = mc_distance(MixtureLaw(f, g), MixtureLaw(f_l, g), "H2", samples, rng)
         dh = math.sqrt(max(h2.value, 0.0))
         dh_se = h2.std_error / (2 * dh) if dh > 1e-6 else math.sqrt(h2.std_error)
-        dh_est = DistanceEstimate(dh, dh_se, "monte_carlo", samples)
+        dh_est = DistanceEstimate(dh, dh_se, samples)
         rows.append(_check_row(f"truncation_{i}", dh_est, e1_bound(f, level)))
         rows.append(_check_row(f"perturbation_{i}", dh_est, e3_bound(f, f_l)))
         report = check_sandwich(law_f, law_ft, samples, rng)
@@ -364,6 +392,21 @@ def _cmd_bessel_table(args) -> int:
     return 0
 
 
+def _bounded(kind, low: float, strict: bool = False):
+    """argparse type: a finite ``kind`` value at least ``low`` (above it
+    with ``strict``); argparse names the flag when it is refused."""
+
+    def parse(text: str):
+        value = kind(text)
+        if math.isfinite(value) and (value > low if strict else value >= low):
+            return value
+        bound = f"{'>' if strict else '>='} {low}"
+        raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text!r}")
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simlab",
@@ -373,10 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_bounded(int, 0), default=0)
         p.add_argument(
             "--threads",
-            type=int,
+            type=_bounded(int, 1),
             default=1,
             help="worker count; results are identical for any value",
         )
@@ -385,60 +428,60 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw curves from the shifted-curve model")
     p.add_argument("--theta", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--n", type=_bounded(int, 1), required=True)
+    p.add_argument("--cutoff", type=_bounded(int, 0), required=True)
+    p.add_argument("--sigma", type=_bounded(float, 0.0), default=1.0)
     common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("prior-sample", help="draw from one of the priors")
     p.add_argument("--kind", choices=("sieve", "dp", "smooth"), required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_bounded(int, 1), required=True)
     common(p)
     p.set_defaults(func=_cmd_prior_sample)
 
     p = sub.add_parser("posterior", help="Gibbs posterior over shape and shifts")
     p.add_argument("--data", required=True)
     p.add_argument("--prior", required=True)
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--steps", type=_bounded(int, 1), default=500)
     common(p)
     p.set_defaults(func=_cmd_posterior)
 
     p = sub.add_parser("contraction", help="posterior-shrinkage experiment")
     p.add_argument("--truth", required=True)
     p.add_argument("--ns", required=True)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--cutoff", type=int, default=4)
-    p.add_argument("--steps", type=int, default=600)
-    p.add_argument("--control-n", dest="control_n", type=int, default=6000)
+    p.add_argument("--s", type=_bounded(float, 0.0, strict=True), default=1.0)
+    p.add_argument("--sigma", type=_bounded(float, 0.0), default=1.0)
+    p.add_argument("--cutoff", type=_bounded(int, 1), default=4)
+    p.add_argument("--steps", type=_bounded(int, 1), default=600)
+    p.add_argument("--control-n", dest="control_n", type=_bounded(int, 2), default=6000)
     p.add_argument("--no-control", dest="no_control", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_contraction)
 
     p = sub.add_parser("fano-net", help="hardness net and its TV certificate")
-    p.add_argument("--p", type=int, default=8)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=2.5)
-    p.add_argument("--nu", type=float, default=1.5)
-    p.add_argument("--A", type=float, default=2.0)
+    p.add_argument("--p", type=_bounded(int, 2), default=8)
+    p.add_argument("--s", type=_bounded(float, -math.inf), default=1.0)
+    p.add_argument("--beta", type=_bounded(float, -math.inf), default=2.5)
+    p.add_argument("--nu", type=_bounded(float, -math.inf), default=1.5)
+    p.add_argument("--A", type=_bounded(float, 0.0, strict=True), default=2.0)
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_bounded(int, 2), default=100_000)
     common(p)
     p.set_defaults(func=_cmd_fano_net)
 
     p = sub.add_parser("verify", help="distance-inequality report")
     p.add_argument("--suite", required=True)
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--samples", type=int, default=20_000)
+    p.add_argument("--instances", type=_bounded(int, 1), default=20)
+    p.add_argument("--samples", type=_bounded(int, 2), default=20_000)
     common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bessel-table", help="tabulate I_n and A_n")
-    p.add_argument("--n-max", dest="n_max", type=int, default=20)
-    p.add_argument("--a-max", dest="a_max", type=float, default=10.0)
-    p.add_argument("--step", type=float, default=0.5)
+    p.add_argument("--n-max", dest="n_max", type=_bounded(int, 0), default=20)
+    p.add_argument("--a-max", dest="a_max", type=_bounded(float, 0.0), default=10.0)
+    p.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=0.5)
     common(p)
     p.set_defaults(func=_cmd_bessel_table)
 
@@ -451,9 +494,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (ValidationError, ValueError, OSError) as exc:

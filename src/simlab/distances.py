@@ -38,6 +38,8 @@ __all__ = [
 _METRICS = ("TV", "H2", "KL", "V")
 _RANGES = {"TV": (0.0, 1.0), "H2": (0.0, 2.0)}
 _RATIO_FLOOR = 1e-300
+# an inequality holds when it holds within this many combined standard errors
+N_SIGMA = 3.0
 
 
 class NonFiniteDensityError(RuntimeError):
@@ -46,23 +48,15 @@ class NonFiniteDensityError(RuntimeError):
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    """A distance value with its provenance.
+    """A Monte-Carlo distance value, its standard error and sample count.
 
-    ``std_error`` is zero for closed forms; Monte-Carlo values are
-    clamped to the metric's range ([0, 1] for TV, [0, 2] for squared
-    Hellinger).
+    Values are clamped to the metric's range ([0, 1] for TV, [0, 2] for
+    squared Hellinger).
     """
 
     value: float
     std_error: float
-    method: str
     samples: int = 0
-
-    def __post_init__(self):
-        if self.method not in ("closed_form", "monte_carlo"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "closed_form" and self.std_error != 0.0:
-            raise ValueError("closed forms carry no standard error")
 
 
 def tv_gaussians(z1: np.ndarray, z2: np.ndarray) -> float:
@@ -145,7 +139,7 @@ def mc_distance(
             raise NonFiniteDensityError("non-finite density ratio in TV/H2 estimate")
         value = float(np.mean(h))
         se = float(np.std(h, ddof=1) / math.sqrt(samples))
-        return DistanceEstimate(_clamp(metric, value), se, "monte_carlo", samples)
+        return DistanceEstimate(_clamp(metric, value), se, samples)
 
     z = sample_law(p, samples, rng)
     lp = log_mixture_density(p, z)
@@ -158,7 +152,7 @@ def mc_distance(
     vals = diff if metric == "KL" else diff**2
     value = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    return DistanceEstimate(value, se, "monte_carlo", samples)
+    return DistanceEstimate(value, se, samples)
 
 
 @dataclass(frozen=True)
@@ -182,11 +176,10 @@ def check_sandwich(
     q: MixtureLaw,
     samples: int,
     rng: np.random.Generator,
-    n_sigma: float = 3.0,
 ) -> SandwichReport:
     """Verify ``d_H^2 / 2 <= d_TV <= d_H`` and ``sqrt(d_KL / 2) >= d_TV``.
 
-    Each link is accepted when it holds within ``n_sigma`` combined
+    Each link is accepted when it holds within ``N_SIGMA`` combined
     standard errors of the Monte-Carlo estimates involved.
     """
     tv = mc_distance(p, q, "TV", samples, rng)
@@ -195,10 +188,10 @@ def check_sandwich(
     dh = math.sqrt(max(h2.value, 0.0))
     # delta method: se(sqrt(x)) = se(x) / (2 sqrt(x)), guarded near zero
     dh_se = h2.std_error / (2.0 * dh) if dh > 1e-6 else math.sqrt(h2.std_error)
-    lower_ok = 0.5 * h2.value <= tv.value + n_sigma * math.hypot(
+    lower_ok = 0.5 * h2.value <= tv.value + N_SIGMA * math.hypot(
         0.5 * h2.std_error, tv.std_error
     )
-    upper_ok = tv.value <= dh + n_sigma * math.hypot(dh_se, tv.std_error)
+    upper_ok = tv.value <= dh + N_SIGMA * math.hypot(dh_se, tv.std_error)
     kl_pos = max(kl.value, 0.0)
     pinsker = math.sqrt(kl_pos / 2.0)
     pinsker_se = (
@@ -206,7 +199,7 @@ def check_sandwich(
         if kl_pos > 1e-6
         else math.sqrt(kl.std_error)
     )
-    pinsker_ok = pinsker >= tv.value - n_sigma * math.hypot(pinsker_se, tv.std_error)
+    pinsker_ok = pinsker >= tv.value - N_SIGMA * math.hypot(pinsker_se, tv.std_error)
     return SandwichReport(tv, h2, kl, lower_ok, upper_ok, pinsker_ok)
 
 

@@ -8,6 +8,7 @@ shift by ``phi`` acts as the rotation ``theta_k -> theta_k e^{-i 2 pi k phi}``.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 
@@ -137,14 +138,15 @@ def evaluate(theta: FourierSeries, x) -> complex | np.ndarray:
     return vals
 
 
-def is_phase_normalized(theta: FourierSeries, tol: float = 1e-12) -> bool:
-    """Whether the first coefficient is strictly positive real.
+def is_phase_normalized(theta: FourierSeries) -> bool:
+    """Whether the first coefficient is strictly positive real (imaginary
+    part within 1e-12).
 
     This is the gauge that pins down the shift ambiguity: a shifted copy
     of the function can always be rotated so that ``theta_1 > 0``.
     """
     c1 = theta.coeff(1)
-    return c1.real > 0.0 and abs(c1.imag) <= tol
+    return c1.real > 0.0 and abs(c1.imag) <= 1e-12
 
 
 def series_to_json(theta: FourierSeries) -> dict:
@@ -186,12 +188,15 @@ def pairs_from_json(value, name: str) -> np.ndarray:
 
 
 def floats_from_json(value, name: str) -> np.ndarray:
-    """Float array from nested JSON lists of numbers; anything else raises
-    a ``ValueError`` that names the field."""
+    """Float array from nested JSON lists of numbers; anything else, JSON
+    booleans included, raises a ``ValueError`` that names the field."""
     try:
         arr = np.array(value)
     except ValueError as exc:  # ragged nesting
         raise ValueError(f"field '{name}': {exc}") from exc
-    if arr.dtype.kind not in "biuf":
+    # numpy upcasts a boolean mixed with numbers, so look at the entries
+    for _ in range(arr.ndim - 1):
+        value = itertools.chain.from_iterable(value)
+    if arr.dtype.kind not in "iuf" or (arr.ndim and bool in map(type, value)):
         raise ValueError(f"field '{name}': expected numbers")
     return arr.astype(float)

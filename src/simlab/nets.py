@@ -78,9 +78,7 @@ def fano_f_net(p: int, s: float) -> list[FourierSeries]:
     return out
 
 
-def fano_g_net(
-    p: int, beta: float, nu: float, radius: float, k_max: int | None = None
-) -> list[FourierDensity]:
+def fano_g_net(p: int, beta: float, nu: float, radius: float) -> list[FourierDensity]:
     """Shift densities whose low-order mixed moments cancel the
     shape rotations.
 
@@ -90,12 +88,11 @@ def fano_g_net(
     inside the ball.  Member ``j`` carries the phase
     ``e^{-i 2 pi l (j-1)/p}`` on every frequency ``r = m + l p`` with
     ``|m| <= p/4``; frequencies without such a decomposition are copied
-    unchanged.
+    unchanged.  The coefficients stop at ``|k| = 6 p``.
     """
     if beta <= nu + 0.5:
         raise ValueError("need beta > nu + 1/2")
-    if k_max is None:
-        k_max = 6 * p
+    k_max = 6 * p
     # two constraints: the regularity radius (first branch) and the
     # coefficient l1 norm <= 1, which certifies nonnegativity uniformly
     # over the phase twists (second branch)
@@ -145,25 +142,22 @@ class FanoCertificate:
 
 
 def fano_tv_certificate(
-    net: FanoNet,
-    samples: int,
-    rng: np.random.Generator,
-    grid: int = 1024,
-    quadrature_points: int = 256,
+    net: FanoNet, samples: int, rng: np.random.Generator
 ) -> FanoCertificate:
     """Monte-Carlo TV certificate on the active frequencies {1, p}.
 
     The remaining coefficients of every net shape vanish, so they
     contribute identical Gaussian factors to every law and drop out of
     the total variation.  The net densities are band-limited, so a
-    moderate shift quadrature is already exact to well below the
+    moderate shift quadrature (256 nodes, densities tabulated on the
+    1,024-point default grid) is already exact to well below the
     certificate gaps.
     """
-    grids = [g.to_grid(grid) for g in net.gs]
+    grids = [g.to_grid() for g in net.gs]
     freqs = (1, net.p)
 
     def law(theta, g):
-        return MixtureLaw(theta, g, quadrature_points=quadrature_points, freqs=freqs)
+        return MixtureLaw(theta, g, quadrature_points=256, freqs=freqs)
 
     ref = law(net.fs[0], grids[0])
     matched = []
@@ -283,15 +277,13 @@ def finite_mixture_match(
     g: ShiftDistribution,
     order: int,
     candidate_grid: int = 4096,
-    eta: float = 1e-12,
     tolerance: float = 1e-8,
 ) -> Discrete:
     """Atomic measure matching ``c_r(g)`` for ``|r| <= order``.
 
     Nonnegative least squares over a fine candidate grid of atom
     locations; the active set of the solution has at most ``2 R + 1``
-    atoms.  Afterwards atoms closer than ``eta`` (circularly) are
-    consolidated, weights summed.
+    atoms, all on the grid.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -304,11 +296,7 @@ def finite_mixture_match(
     b_vec = np.concatenate([target_c[:1].real, target_c[1:].real, target_c[1:].imag])
     weights, _ = nnls(a_mat, b_vec)
     keep = weights > 1e-14
-    positions = grid[keep]
-    w = weights[keep]
-    w = w / w.sum()
-    positions, w = _merge_close_atoms(positions, w, eta)
-    result = Discrete(positions, w)
+    result = Discrete(grid[keep], weights[keep] / weights[keep].sum())
     achieved = float(
         np.max(np.abs(np.atleast_1d(fourier_coeff(result, rs)) - target_c))
     )
@@ -317,39 +305,12 @@ def finite_mixture_match(
     return result
 
 
-def _merge_close_atoms(positions: np.ndarray, weights: np.ndarray, eta: float):
-    """Consolidate atoms within circular distance ``eta`` (weights summed)."""
-    order = np.argsort(positions)
-    positions = positions[order]
-    weights = weights[order]
-    merged_pos: list[float] = []
-    merged_w: list[float] = []
-    for pos, w in zip(positions, weights):
-        if merged_pos and pos - merged_pos[-1] < eta:
-            total = merged_w[-1] + w
-            merged_pos[-1] = (merged_pos[-1] * merged_w[-1] + pos * w) / total
-            merged_w[-1] = total
-        else:
-            merged_pos.append(float(pos))
-            merged_w.append(float(w))
-    # circular wrap: last cell may touch the first
-    if len(merged_pos) > 1 and (merged_pos[0] + 1.0) - merged_pos[-1] < eta:
-        total = merged_w[0] + merged_w[-1]
-        pos = ((merged_pos[0] + 1.0) * merged_w[0] + merged_pos[-1] * merged_w[-1])
-        merged_pos[0] = (pos / total) % 1.0
-        merged_w[0] = total
-        merged_pos.pop()
-        merged_w.pop()
-    w = np.asarray(merged_w)
-    return np.asarray(merged_pos), w / w.sum()
-
-
 # ---------------------------------------------------------------------------
 # Identifiability probes
 
 
 @lru_cache(maxsize=4096)
-def _radial_weight(n: int, theta1: float, rho_points: int = 2048) -> float:
+def _radial_weight(n: int, theta1: float) -> float:
     """``int_0^inf rho e^{-(rho + theta1)^2} A_n(2 rho theta1)^2 drho``.
 
     Written with exponentially scaled Bessel values:
@@ -358,8 +319,7 @@ def _radial_weight(n: int, theta1: float, rho_points: int = 2048) -> float:
     the frequency and the first coefficient, not on the densities being
     compared.
     """
-    upper = theta1 + 12.0
-    rho = np.linspace(0.0, upper, rho_points + 1)
+    rho = np.linspace(0.0, theta1 + 12.0, 2049)
     scaled = np.array([bessel_i_scaled(n, 2.0 * r * theta1) for r in rho])
     integrand = rho * (2.0 * math.pi * scaled) ** 2 * np.exp(-((rho - theta1) ** 2))
     return float(np.trapezoid(integrand, rho))
@@ -393,8 +353,8 @@ def identifiability_probe(
     theta1_0: float,
     g0: ShiftDistribution,
     eta_list: list[float],
-    samples: int = 400_000,
-    rng: np.random.Generator | None = None,
+    samples: int,
+    rng: np.random.Generator,
 ) -> dict:
     """First-coefficient perturbation probe.
 
@@ -406,8 +366,6 @@ def identifiability_probe(
     """
     if theta1_0 <= 0:
         raise ValueError("the first coefficient must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
     base = MixtureLaw(
         FourierSeries.from_dict({1: theta1_0 + 0.0j}, cutoff=1), g0, freqs=(1,)
     )

@@ -55,6 +55,11 @@ __all__ = [
     "shift_measure",
 ]
 
+# pCN step size of the smooth prior's Gaussian-process move
+PCN_BETA = 0.1
+# closed grid on which shift densities are averaged and compared
+G_GRID = 256
+
 
 @dataclass(frozen=True)
 class PriorConfig:
@@ -110,13 +115,12 @@ class PosteriorEnsemble:
             acc += w * project(theta, cut).coeffs
         return FourierSeries(cut, acc)
 
-    def mean_g_grid(self, m: int = 256, aligned: bool = True) -> np.ndarray:
-        """Weighted posterior mean shift density on the closed ``m``-grid."""
-        acc = np.zeros(m + 1)
+    def mean_g_grid(self) -> np.ndarray:
+        """Weighted posterior mean of the aligned shift densities on the
+        closed ``G_GRID``-grid."""
+        acc = np.zeros(G_GRID + 1)
         for theta, g, w in self.samples:
-            if aligned:
-                _, g = align_pair(theta, g)
-            acc += w * g.on_grid(m)
+            acc += w * align_pair(theta, g)[1].on_grid(G_GRID)
         return acc
 
 
@@ -144,7 +148,6 @@ def align_pair(
 
 def importance_posterior(
     obs: ObservationSet,
-    prior_kind: str,
     prior_cfg: PriorConfig,
     draws: int,
     rng: np.random.Generator,
@@ -158,8 +161,6 @@ def importance_posterior(
     """
     if draws < 1:
         raise ValueError("need at least one draw")
-    if prior_kind != prior_cfg.kind:
-        raise ValueError(f"prior kind {prior_kind!r} does not match the config")
     sample_g = sample_dp if prior_cfg.kind == "dp" else sample_smooth
     thetas = []
     gs = []
@@ -176,7 +177,7 @@ def importance_posterior(
     ess = 1.0 / float(np.sum(w**2))
     diag = {"ess": ess, "low_ess_warning": bool(ess < 10.0)}
     samples = [(thetas[d], gs[d], float(w[d])) for d in range(draws)]
-    return PosteriorEnsemble(samples, diag, {"draws": draws, "kind": prior_kind})
+    return PosteriorEnsemble(samples, diag, {"draws": draws, "kind": prior_cfg.kind})
 
 
 class GibbsSampler:
@@ -194,16 +195,15 @@ class GibbsSampler:
         prior: PriorConfig,
         rng: np.random.Generator,
         phi_grid: int = 1024,
-        pcn_beta: float = 0.1,
         record_level_proposals: bool = False,
     ):
+        if obs.cutoff < 1:
+            raise ValueError("field 'cutoff': the sampler needs 1 or more, got 0")
         self.obs = obs
         self.prior = prior
         self.rng = rng
-        self.pcn_beta = pcn_beta
         self.n = obs.n
-        self.L = obs.cutoff
-        self.l_max = max(1, min(prior.sieve.l_max, obs.cutoff))
+        self.l_max = min(prior.sieve.l_max, obs.cutoff)
         self.ks = np.arange(-self.l_max, self.l_max + 1)
         self.p = self.ks.size
         self.Y = obs.curves[:, obs.cutoff - self.l_max : obs.cutoff + self.l_max + 1]
@@ -370,7 +370,7 @@ class GibbsSampler:
     def _update_smooth(self):
         cfg = self.smooth_cfg
         self.pcn_proposed += 1
-        beta = self.pcn_beta
+        beta = PCN_BETA
         fresh = gp_draw(cfg, self.rng)
         proposal = math.sqrt(1.0 - beta**2) * self.w_process + beta * fresh
         density = exp_density(proposal)
@@ -424,7 +424,7 @@ class GibbsSampler:
         diag = {
             "level_acceptance": self.level_accepted / max(1, self.level_proposed),
             "pcn_acceptance": self.pcn_accepted / max(1, self.pcn_proposed),
-            "pcn_beta": self.pcn_beta,
+            "pcn_beta": PCN_BETA,
             "kept": len(kept),
         }
         if self.level_log is not None:
@@ -526,9 +526,14 @@ def ball_mass(
 
 @dataclass(frozen=True)
 class ContractionConfig:
-    """Knobs of the posterior-shrinkage experiment.
+    """Settings of the posterior-shrinkage experiment that callers vary.
 
-    The noise-free control run uses a point-mass shift law: with a
+    The rest is fixed: each row's prior is the adaptive sieve with a
+    Dirichlet shift prior (mass 1, truncation 100, uniform base density
+    on a 512-grid), the chain keeps at most 80 draws, each kept draw's
+    Hellinger distance takes 2,000 Monte-Carlo samples, and shift
+    densities are compared on the ``G_GRID``-grid.  The noise-free
+    control run (240 sweeps) uses a point mass at 0.3: with a
     spread-out shift law, zero-noise data is an orbit-supported measure
     whose best fit under the unit-noise likelihood is *not* the true
     pair, so only the fully degenerate configuration isolates the
@@ -540,34 +545,11 @@ class ContractionConfig:
     sigma: float = 1.0
     cutoff: int = 4
     steps: int = 600
-    adaptive: bool = True
-    dp_mass: float = 1.0
-    dp_truncation: int = 100
-    base_grid: int = 512
-    mc_samples: int = 2000
-    max_kept: int = 80
     control_n: int = 6000
-    control_steps: int = 240
-    control_shift: float = 0.3
-    g_grid: int = 256
 
 
 def _rate(n: int, s: float) -> float:
     return n ** (-s / (2.0 * s + 2.0)) * math.log(n)
-
-
-def _make_prior(cfg: ContractionConfig, n: int) -> PriorConfig:
-    sieve = (
-        SievePriorConfig.adaptive(n)
-        if cfg.adaptive
-        else SievePriorConfig.non_adaptive(n, cfg.s)
-    )
-    dp = DirichletPriorConfig(
-        uniform_density(cfg.base_grid),
-        total_mass=cfg.dp_mass,
-        truncation=cfg.dp_truncation,
-    )
-    return PriorConfig(sieve, dp)
 
 
 def _experiment_row(
@@ -577,25 +559,26 @@ def _experiment_row(
     sigma: float,
     steps: int,
     cfg: ContractionConfig,
-    seed: int,
     rng: np.random.Generator,
 ) -> dict:
+    seed = int(rng.integers(2**31 - 1))
     obs = simulate(truth_theta, truth_g, n, cfg.cutoff, sigma=sigma, seed=seed)
-    prior = _make_prior(cfg, n)
-    ens = gibbs_posterior(obs, prior, steps, rng, max_kept=cfg.max_kept)
+    dp = DirichletPriorConfig(uniform_density(512), total_mass=1.0, truncation=100)
+    prior = PriorConfig(SievePriorConfig.adaptive(n), dp)
+    ens = gibbs_posterior(obs, prior, steps, rng, max_kept=80)
     cut = max(ens.max_cutoff(), truth_theta.cutoff)
     truth_law = MixtureLaw(project(truth_theta, cut), truth_g)
     dhs = []
     for theta, g, _ in ens.samples:
         law = MixtureLaw(project(theta, cut), g)
-        h2 = mc_distance(law, truth_law, "H2", cfg.mc_samples, rng).value
+        h2 = mc_distance(law, truth_law, "H2", 2000, rng).value
         dhs.append(math.sqrt(max(h2, 0.0)))
     truth_coeffs = project(truth_theta, cut).coeffs
     mean_aligned = project(ens.mean_theta(aligned=True), cut).coeffs
     mean_raw = project(ens.mean_theta(aligned=False), cut).coeffs
-    g_mean = ens.mean_g_grid(cfg.g_grid, aligned=True)
-    t = np.linspace(0.0, 1.0, cfg.g_grid + 1)
-    g_truth = truth_g.on_grid(cfg.g_grid)
+    g_mean = ens.mean_g_grid()
+    t = np.linspace(0.0, 1.0, G_GRID + 1)
+    g_truth = truth_g.on_grid(G_GRID)
     g_err = math.sqrt(float(np.trapezoid((g_mean - g_truth) ** 2, t)))
     return {
         "n": n,
@@ -625,26 +608,11 @@ def contraction_experiment(
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("sample sizes must be increasing")
-    rows = []
-    for n in n_list:
-        seed = int(rng.integers(2**31 - 1))
-        rows.append(
-            _experiment_row(
-                truth_theta, truth_g, n, cfg.sigma, cfg.steps, cfg, seed, rng
-            )
-        )
+    rows = [
+        _experiment_row(truth_theta, truth_g, n, cfg.sigma, cfg.steps, cfg, rng)
+        for n in n_list
+    ]
     if include_control:
-        seed = int(rng.integers(2**31 - 1))
-        rows.append(
-            _experiment_row(
-                truth_theta,
-                Discrete.point_mass(cfg.control_shift),
-                cfg.control_n,
-                0.0,
-                cfg.control_steps,
-                cfg,
-                seed,
-                rng,
-            )
-        )
+        point, n = Discrete.point_mass(0.3), cfg.control_n
+        rows.append(_experiment_row(truth_theta, point, n, 0.0, 240, cfg, rng))
     return rows

@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    """Refuse ``value`` with a ``ValueError`` naming config key ``key``."""
+    if not ok:
+        raise ValueError(f"field '{key}': {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SievePriorConfig:
     """Parameters of the Gaussian sieve prior on shapes.
@@ -46,7 +52,9 @@ class SievePriorConfig:
     ``c`` is the single decay constant of the level distribution (the
     admissible family is bracketed between two such exponentials; taking
     them equal picks its simplest member), ``rho`` the log power in
-    (1, 2), and ``(mu, zeta)`` the variance exponents.
+    (1, 2), and ``(mu, zeta)`` the variance exponents.  The three config
+    classes refuse a bad value with a ``ValueError`` that names its key
+    in the flat config file.
     """
 
     n: int
@@ -57,12 +65,12 @@ class SievePriorConfig:
     l_max: int = 64
 
     def __post_init__(self):
-        if not 1.0 < self.rho < 2.0:
-            raise ValueError("rho must lie in (1, 2)")
-        if self.l_max < 1:
-            raise ValueError("l_max must be at least 1")
-        if self.n < 2:
-            raise ValueError("need n >= 2 so that log n > 0")
+        _require(self.n >= 2, "n", "need n >= 2 so that log n > 0", self.n)
+        _require(math.isfinite(self.mu), "mu", "must be finite", self.mu)
+        _require(math.isfinite(self.zeta), "zeta", "must be finite", self.zeta)
+        _require(0.0 <= self.c < math.inf, "c", "must be finite and >= 0", self.c)
+        _require(1.0 < self.rho < 2.0, "rho", "must lie in (1, 2)", self.rho)
+        _require(self.l_max >= 1, "l_max", "must be at least 1", self.l_max)
 
     @property
     def xi2(self) -> float:
@@ -77,6 +85,7 @@ class SievePriorConfig:
     @staticmethod
     def non_adaptive(n: int, s: float, **kw) -> "SievePriorConfig":
         """Preset ``mu = 2 / (2s + 2), zeta = 0`` tied to smoothness ``s``."""
+        _require(0.0 < s < math.inf, "s", "must be finite and > 0", s)
         return SievePriorConfig(n=n, mu=2.0 / (2.0 * s + 2.0), zeta=0.0, **kw)
 
 
@@ -101,17 +110,17 @@ def sample_f(cfg: SievePriorConfig, rng: np.random.Generator) -> FourierSeries:
 
 @dataclass(frozen=True)
 class DirichletPriorConfig:
-    """Stick-breaking prior: base density, total mass, and truncation."""
+    """Stick-breaking prior: base density, total mass (config key
+    ``mass``), and truncation."""
 
     base_density: GridDensity
     total_mass: float = 1.0
     truncation: int = 200
 
     def __post_init__(self):
-        if self.total_mass <= 0:
-            raise ValueError("total mass must be positive")
-        if self.truncation < 1:
-            raise ValueError("truncation must be at least 1")
+        mass, truncation = self.total_mass, self.truncation
+        _require(0.0 < mass < math.inf, "mass", "must be finite and > 0", mass)
+        _require(truncation >= 1, "truncation", "must be at least 1", truncation)
 
 
 def stick_weights(
@@ -151,10 +160,11 @@ class SmoothPriorConfig:
     max_rejections: int = 1000
 
     def __post_init__(self):
-        if self.nu < 0.5:
-            raise ValueError("regularity must satisfy nu >= 1/2")
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        nu, radius, rejections = self.nu, self.radius, self.max_rejections
+        _require(0.5 <= nu < math.inf, "nu", "must be finite and >= 1/2", nu)
+        _require(0.0 < radius < math.inf, "radius", "must be finite and > 0", radius)
+        _require(self.grid >= 2, "grid", "must be at least 2", self.grid)
+        _require(rejections >= 0, "max_rejections", "must be >= 0", rejections)
 
     @property
     def k_nu(self) -> int:
@@ -250,15 +260,18 @@ def sample_smooth(cfg: SmoothPriorConfig, rng: np.random.Generator) -> GridDensi
 
 
 def parse_flat_config(path: str) -> dict:
-    """Read a flat ``key = value`` text file; '#' starts a comment."""
+    """Read a flat ``key = value`` text file; '#' starts a comment.  A key
+    given twice is refused by name."""
     out: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not (key and eq):
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            if key in out:
+                raise ValueError(f"field '{key}': given twice")
+            out[key] = value
     return out

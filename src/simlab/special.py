@@ -117,13 +117,14 @@ def a_n_scaled(n: int, a: float) -> float:
     return 2.0 * math.pi * bessel_i_scaled(n, a)
 
 
-def a_n_quadrature(n: int, a: float, points: int = 4096) -> float:
-    """Independent composite-trapezoid evaluation of ``A_n(a)``.
+def a_n_quadrature(n: int, a: float) -> float:
+    """Independent composite-trapezoid evaluation of ``A_n(a)`` on 4,096
+    intervals.
 
     Exposed as an oracle for testing the series path; the integrand is
     1-periodic and analytic so the trapezoid rule converges geometrically.
     """
-    u = np.linspace(0.0, 2.0 * np.pi, points + 1)
+    u = np.linspace(0.0, 2.0 * np.pi, 4097)
     vals = np.exp(a * np.cos(u)) * np.cos(n * u)
     return float(np.trapezoid(vals, u))
 

@@ -269,7 +269,7 @@ def test_criterion_6_posterior_oracles():
         DirichletPriorConfig(uniform_density(256), 1.0, 50),
     )
     rng = np.random.default_rng(606)
-    imp = importance_posterior(obs, "dp", prior, 25_000, rng)
+    imp = importance_posterior(obs, prior, 25_000, rng)
     m_imp, se_imp, _ = _aligned_first_coeff_stats(imp.samples)
     gibbs = gibbs_posterior(obs, prior, 2500, rng, max_kept=800)
     m_gibbs, _, xs = _aligned_first_coeff_stats(gibbs.samples)
@@ -311,9 +311,7 @@ def test_criterion_7_contraction_experiment():
         sigma=1.0,
         cutoff=4,
         steps=600,
-        adaptive=True,
         control_n=6000,
-        control_steps=240,
     )
     rng = np.random.default_rng(7)
     rows = contraction_experiment(truth, g0, [50, 200, 800], cfg, rng)

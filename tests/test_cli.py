@@ -1,10 +1,17 @@
 """Command-line interface: dispatch, determinism, artifacts, exit codes."""
 
+import contextlib
 import csv
+import io
+import itertools
 import json
 import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simlab import cli
 from simlab.cli import main
@@ -313,3 +320,238 @@ class TestContractionCommand:
             rows = list(csv.DictReader(fh))
         assert [row["n"] for row in rows] == ["12", "25"]
         assert float(rows[0]["eps_n"]) > 0
+
+
+def _prior_sample(tmp_path, kind, text):
+    cfg = tmp_path / "prior.cfg"
+    cfg.write_text(text)
+    return main(["prior-sample", "--kind", kind, "--config", str(cfg),
+                 "--count", "1", "--out", str(tmp_path / "draws")])
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "kind, text, key",
+        [
+            ("dp", "truncation = 1.9\n", "truncation"),
+            ("dp", "mass = abc\n", "mass"),
+            ("dp", "mass = inf\n", "mass"),
+            ("dp", "base_grid = 1\n", "base_grid"),
+            ("dp", "base_amplitude = nan\n", "base_amplitude"),
+            ("sieve", "l_max = x\n", "l_max"),
+            ("sieve", "c = nan\n", "c"),
+            ("sieve", "c = -5\n", "c"),
+            ("sieve", "preset = nonadaptive\ns = -1\n", "s"),
+            ("sieve", "preset = other\n", "preset"),
+            ("smooth", "nu = 1.5\nradius = 2\ngrid = 1.5\n", "grid"),
+            ("smooth", "nu = inf\nradius = 2\n", "nu"),
+            ("smooth", "nu = 1.5\nradius = nan\n", "radius"),
+            ("smooth", "nu = 1.5\nradius = 2\nmax_rejections = -1\n", "max_rejections"),
+            ("smooth", "nu = 1.5\n", "radius"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, capsys, kind, text, key):
+        assert _prior_sample(tmp_path, kind, text) == 1
+        err = capsys.readouterr().err
+        assert f"field '{key}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "draws").exists()
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "kind, text, key",
+        [
+            ("dp", "trunction = 5\n", "trunction"),
+            ("dp", "n = 100\n", "n"),
+            ("smooth", "nu = 1.5\nradius = 2\nmass = 1\n", "mass"),
+            ("sieve", "n = 100\nmu = 0.3\n", "mu"),
+            ("sieve", "preset = adaptive\ns = 2\n", "s"),
+        ],
+    )
+    def test_unread_key_refused(self, tmp_path, capsys, kind, text, key):
+        assert _prior_sample(tmp_path, kind, text) == 1
+        assert f"field '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("g_prior = dp\ntrunction = 5\n", "trunction"),
+            ("g_prior = dp\nn = 100\n", "n"),
+            ("g_prior = smooth\nnu = 1.5\nradius = 2\ngrid = 64\n", "grid"),
+            ("g_prior = dp\nnu = 1.5\n", "nu"),
+            ("g_prior = other\n", "g_prior"),
+        ],
+    )
+    def test_posterior_unread_key_refused(self, tmp_path, text, key):
+        path = tmp_path / "prior.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            cli.prior_from_config(str(path), "posterior", 50)
+
+    def test_every_read_key_accepted(self, tmp_path):
+        path = tmp_path / "prior.cfg"
+        path.write_text(
+            "g_prior = dp\npreset = manual\nmu = 0.3\nzeta = 1\nc = 0.5\n"
+            "rho = 1.2\nl_max = 3\nmass = 2\ntruncation = 7\nbase_grid = 32\n"
+            "base_amplitude = 0.5\n"
+        )
+        prior = cli.prior_from_config(str(path), "posterior", 50)
+        assert prior.sieve.mu == 0.3 and prior.sieve.l_max == 3
+        assert prior.shift_prior.total_mass == 2.0
+        assert prior.shift_prior.truncation == 7
+
+    def test_absent_keys_take_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "prior.cfg"
+        path.write_text("nu = 1.5\nradius = 2\n")
+        prior = cli.prior_from_config(str(path), "smooth")
+        assert prior == cli.SmoothPriorConfig(nu=1.5, radius=2.0)
+
+    KEYS = [
+        "g_prior", "preset", "n", "s", "mu", "zeta", "c", "rho", "l_max", "mass",
+        "truncation", "base_grid", "base_amplitude", "nu", "radius", "grid",
+        "max_rejections", "trunction",
+    ]
+    VALUES = [
+        "0", "-1", "1", "2", "1.5", "20", "nan", "inf", "-inf", "1e3", "abc", "",
+        "adaptive", "nonadaptive", "manual", "dp", "smooth",
+    ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["sieve", "dp", "smooth", "posterior"]),
+        n=st.sampled_from([1, 2, 50]),
+        lines=st.lists(
+            st.tuples(
+                st.sampled_from(KEYS)
+                | st.text("abcxyz_ ", min_size=1, max_size=6).filter(str.strip),
+                st.sampled_from(VALUES),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_config_loads_or_names_a_key(self, kind, n, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "prior.cfg")
+            with open(path, "w") as fh:
+                fh.write("".join(f"{k} = {v}\n" for k, v in lines))
+            try:
+                cli.prior_from_config(path, kind, n)
+            except ValueError as exc:
+                named = re.search(r"field '([^']*)'", str(exc))
+                assert named, str(exc)
+                # a key of the text, or a required one it lacks
+                known = {k.strip() for k, _ in lines} | {"nu", "radius", "mu", "zeta", "n"}
+                assert named.group(1) in known, str(exc)
+
+
+class TestFlagBounds:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["contraction", "--truth", "t", "--ns", "12", "--s", "-1"], "--s"),
+            (["contraction", "--truth", "t", "--ns", "12", "--s", "nan"], "--s"),
+            (["contraction", "--truth", "t", "--ns", "12", "--cutoff", "0"], "--cutoff"),
+            (["bessel-table", "--step", "0"], "--step"),
+            (["bessel-table", "--n-max", "-1"], "--n-max"),
+            (["bessel-table", "--a-max", "inf"], "--a-max"),
+            (["verify", "--suite", "distances", "--instances", "0"], "--instances"),
+            (["prior-sample", "--kind", "dp", "--config", "c", "--count", "0"], "--count"),
+            (["fano-net", "--samples", "1"], "--samples"),
+            (["fano-net", "--beta", "nan"], "--beta"),
+            (["simulate", "--theta", "t", "--g", "g", "--n", "3", "--cutoff", "1",
+              "--threads", "0"], "--threads"),
+            (["simulate", "--theta", "t", "--g", "g", "--n", "3", "--cutoff", "1",
+              "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_bad_flag_named(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_posterior_refuses_cutoff_zero(self, tmp_path, truth_files, capsys):
+        theta_path, g_path = truth_files
+        data = tmp_path / "obs.json"
+        assert main(
+            ["simulate", "--theta", theta_path, "--g", g_path, "--n", "10",
+             "--cutoff", "0", "--seed", "3", "--out", str(data)]
+        ) == 0
+        prior = tmp_path / "prior.cfg"
+        prior.write_text("g_prior = dp\npreset = adaptive\nl_max = 2\n")
+        out = tmp_path / "post"
+        code = main(
+            ["posterior", "--data", str(data), "--prior", str(prior),
+             "--steps", "10", "--seed", "4", "--out", str(out)]
+        )
+        assert code == 1
+        assert "field 'cutoff'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Input files of a small valid run of every subcommand."""
+    root = tmp_path_factory.mktemp("fuzz")
+    theta = FourierSeries.from_dict({1: 1.0 + 0j, 2: 0.5 + 0j}, cutoff=2)
+    (root / "truth").mkdir()
+    for path in (root / "theta.json", root / "truth" / "theta.json"):
+        path.write_text(json.dumps(series_to_json(theta)))
+    for path in (root / "g.json", root / "truth" / "g.json"):
+        path.write_text(json.dumps(shift_to_json(raised_cosine_density(64))))
+    (root / "dp.cfg").write_text("mass = 1\ntruncation = 10\nbase_grid = 64\n")
+    (root / "post.cfg").write_text(
+        "g_prior = dp\nl_max = 2\ntruncation = 10\nbase_grid = 64\n"
+    )
+    assert main(["simulate", "--theta", str(root / "theta.json"), "--g",
+                 str(root / "g.json"), "--n", "10", "--cutoff", "2",
+                 "--out", str(root / "obs.json")]) == 0
+    return root
+
+
+# subcommand -> (fixed arguments, {numeric flag: valid value}); paths are
+# relative to the fuzz input directory
+FUZZ_RUNS = {
+    "simulate": (["--theta", "theta.json", "--g", "g.json"],
+                 {"--n": "4", "--cutoff": "2", "--sigma": "1.0"}),
+    "prior-sample": (["--kind", "dp", "--config", "dp.cfg"], {"--count": "2"}),
+    "posterior": (["--data", "obs.json", "--prior", "post.cfg"], {"--steps": "3"}),
+    "contraction": (["--truth", "truth", "--no-control"],
+                    {"--ns": "12", "--s": "1.0", "--sigma": "1.0", "--cutoff": "2",
+                     "--steps": "3", "--control-n": "20"}),
+    "fano-net": (["--certify"],
+                 {"--p": "2", "--s": "1.0", "--beta": "2.5", "--nu": "1.5",
+                  "--A": "2.0", "--samples": "200"}),
+    "verify": (["--suite", "distances"], {"--instances": "1", "--samples": "200"}),
+    "bessel-table": ([], {"--n-max": "2", "--a-max": "1.0", "--step": "0.5"}),
+}
+FUZZ_FLAGS = [
+    (command, flag)
+    for command, (_, numeric) in FUZZ_RUNS.items()
+    for flag in itertools.chain(numeric, ["--seed", "--threads"])
+]
+
+
+class TestCliFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        target=st.sampled_from(FUZZ_FLAGS),
+        value=st.sampled_from(["0", "-1", "1.5", "nan", "inf", "-inf"]),
+    )
+    def test_one_bad_flag_never_tracebacks(self, fuzz_inputs, target, value):
+        command, flag = target
+        fixed, numeric = FUZZ_RUNS[command]
+        flags = {**numeric, "--seed": "1", "--threads": "1", flag: value}
+        cwd = os.getcwd()
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory(dir=fuzz_inputs) as out:
+            argv = [command, *fixed, *itertools.chain(*flags.items())]
+            try:
+                os.chdir(fuzz_inputs)
+                with contextlib.redirect_stderr(err):
+                    code = main(argv + ["--out", os.path.join(out, "result")])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv

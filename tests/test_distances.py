@@ -159,10 +159,8 @@ class TestMcDistance:
             mc_distance(law, law, "W1", 100, rng)
 
     def test_estimate_invariants(self):
-        est = DistanceEstimate(0.5, 0.01, "monte_carlo", 100)
+        est = DistanceEstimate(0.5, 0.01, 100)
         assert est.samples == 100
-        with pytest.raises(ValueError):
-            DistanceEstimate(0.5, 0.01, "closed_form")
 
 
 class TestSandwich:

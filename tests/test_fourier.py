@@ -236,3 +236,22 @@ class TestPhaseGauge:
 
     def test_rejects_zero(self):
         assert not is_phase_normalized(FourierSeries.zero(2))
+
+
+class TestBooleansRefused:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [[True, False]],
+            # numpy upcasts a boolean mixed with a float to float64
+            [[True, 0.5]],
+            [[1, False]],
+        ],
+    )
+    def test_boolean_coefficient_named(self, coeffs):
+        with pytest.raises(ValueError, match="field 'coeffs'"):
+            series_from_json({"cutoff": 0, "coeffs": coeffs})
+
+    def test_numbers_still_decode(self):
+        theta = series_from_json({"cutoff": 0, "coeffs": [[1, 0.5]]})
+        assert theta.coeffs[0] == 1.0 + 0.5j

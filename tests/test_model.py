@@ -267,3 +267,15 @@ class TestPersistence:
         assert digest == (
             "6aae6f6501e468243cb3cea0ba9e26c37a1c32fa893b8114fabcafc13ab5a7a7"
         )
+
+
+class TestBooleansRefused:
+    @pytest.mark.parametrize("key", ["curves", "true_shifts"])
+    def test_boolean_entry_named(self, key):
+        doc = saved_document()
+        if key == "curves":
+            doc["curves"][1][0] = [True, 0.5]
+        else:
+            doc["true_shifts"][2] = False
+        with pytest.raises(DatasetFormatError, match=f"field '{key}'"):
+            load_document(doc)

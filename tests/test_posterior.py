@@ -107,14 +107,8 @@ class TestImportance:
     def test_no_data_returns_prior_weights(self):
         obs = ObservationSet(2, 1.0, np.zeros((0, 5), dtype=complex))
         rng = np.random.default_rng(1)
-        ens = importance_posterior(obs, "dp", dp_prior(10), 50, rng)
+        ens = importance_posterior(obs, dp_prior(10), 50, rng)
         assert np.allclose(ens.weights, 1.0 / 50.0)
-
-    def test_kind_mismatch_rejected(self):
-        obs = ObservationSet(2, 1.0, np.zeros((0, 5), dtype=complex))
-        rng = np.random.default_rng(2)
-        with pytest.raises(ValueError):
-            importance_posterior(obs, "smooth", dp_prior(10), 10, rng)
 
     def test_conjugate_dc_posterior(self):
         # only the constant coefficient observed: the mixing law cancels
@@ -123,7 +117,7 @@ class TestImportance:
         truth = FourierSeries.from_dict({0: 0.7 + 0.2j}, cutoff=0)
         obs = simulate(truth, uniform_density(), 30, 0, seed=9)
         prior = dp_prior(30, l_max=4)
-        ens = importance_posterior(obs, "dp", prior, 4000, rng)
+        ens = importance_posterior(obs, prior, 4000, rng)
         s0 = obs.curves[:, 0].sum()
         closed = s0 / (obs.n + 1.0 / prior.sieve.xi2)
         w = ens.weights
@@ -137,7 +131,7 @@ class TestImportance:
         # is reported, not raised
         obs = simulate(TRUTH, raised_cosine_density(), 60, 2, seed=10)
         rng = np.random.default_rng(20)
-        ens = importance_posterior(obs, "dp", dp_prior(60), 12, rng)
+        ens = importance_posterior(obs, dp_prior(60), 12, rng)
         assert ens.diagnostics["ess"] < 10.0
         assert ens.diagnostics["low_ess_warning"] is True
 
@@ -149,7 +143,7 @@ class TestImportance:
         def replicated_se(draws, reps=24):
             means = []
             for _ in range(reps):
-                ens = importance_posterior(obs, "dp", prior, draws, rng)
+                ens = importance_posterior(obs, prior, draws, rng)
                 means.append(aligned_first_coeff(ens)[0])
             return np.std(means, ddof=1)
 
@@ -315,7 +309,7 @@ class TestGibbsPosterior:
         obs = simulate(TRUTH, raised_cosine_density(), 20, 2, seed=5)
         prior = dp_prior(20)
         rng = np.random.default_rng(9)
-        imp = importance_posterior(obs, "dp", prior, 12_000, rng)
+        imp = importance_posterior(obs, prior, 12_000, rng)
         m1, se1 = aligned_first_coeff(imp)
         ens = gibbs_posterior(obs, prior, 1500, rng, max_kept=600)
         xs = []
@@ -398,3 +392,10 @@ class TestBallMass:
             for r in (0.1, 0.3, 0.6, 1.0, 1.4)
         ]
         assert all(b >= a for a, b in zip(masses, masses[1:]))
+
+
+class TestCutoffZero:
+    def test_sampler_refuses_cutoff_zero(self):
+        obs = simulate(TRUTH, uniform_density(), 10, 0, seed=3)
+        with pytest.raises(ValueError, match="field 'cutoff'"):
+            GibbsSampler(obs, dp_prior(10), np.random.default_rng(0))

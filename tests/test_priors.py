@@ -255,3 +255,47 @@ class TestConfigParsing:
         path.write_text("just some words\n")
         with pytest.raises(ValueError):
             parse_flat_config(str(path))
+
+
+class TestConfigFieldsNamed:
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda: SievePriorConfig(n=100, c=math.nan), "c"),
+            (lambda: SievePriorConfig(n=100, c=-5.0), "c"),
+            (lambda: SievePriorConfig(n=100, mu=math.inf), "mu"),
+            (lambda: SievePriorConfig(n=100, zeta=math.nan), "zeta"),
+            (lambda: SievePriorConfig(n=100, rho=math.nan), "rho"),
+            (lambda: SievePriorConfig(n=100, l_max=0), "l_max"),
+            (lambda: SievePriorConfig(n=1), "n"),
+            (lambda: SievePriorConfig.non_adaptive(100, -1.0), "s"),
+            (lambda: SievePriorConfig.non_adaptive(100, math.nan), "s"),
+            (lambda: DirichletPriorConfig(uniform_density(64), math.inf), "mass"),
+            (lambda: DirichletPriorConfig(uniform_density(64), 0.0), "mass"),
+            (lambda: DirichletPriorConfig(uniform_density(64), 1.0, 0), "truncation"),
+            (lambda: SmoothPriorConfig(nu=math.inf, radius=1.0), "nu"),
+            (lambda: SmoothPriorConfig(nu=1.5, radius=math.nan), "radius"),
+            (lambda: SmoothPriorConfig(nu=1.5, radius=1.0, grid=1), "grid"),
+            (
+                lambda: SmoothPriorConfig(nu=1.5, radius=1.0, max_rejections=-1),
+                "max_rejections",
+            ),
+        ],
+    )
+    def test_bad_value_names_its_key(self, build, key):
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            build()
+
+
+class TestFlatConfigKeys:
+    def test_repeated_key_named(self, tmp_path):
+        path = tmp_path / "prior.cfg"
+        path.write_text("mass = 1.0\nmass = 2.0\n")
+        with pytest.raises(ValueError, match="field 'mass'"):
+            parse_flat_config(str(path))
+
+    def test_empty_key_refused(self, tmp_path):
+        path = tmp_path / "prior.cfg"
+        path.write_text(" = 1.0\n")
+        with pytest.raises(ValueError, match="key = value"):
+            parse_flat_config(str(path))
