@@ -157,8 +157,8 @@ def prior_from_config(path: str, kind: str, n: int | None = None):
 
     The readers pop each key they read, so a key left over was read by
     nothing and is refused by name: ``n`` is read only for ``--kind sieve``
-    and ``grid`` not by ``posterior``, whose sampler puts the smooth prior's
-    process on its own shift grid.
+    and ``grid`` not by ``posterior``, which runs the smooth prior on the
+    1,024-point shift grid.
     """
     cfg = parse_flat_config(path)
     if kind == "sieve":

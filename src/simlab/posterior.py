@@ -59,6 +59,8 @@ __all__ = [
 PCN_BETA = 0.1
 # closed grid on which shift densities are averaged and compared
 G_GRID = 256
+# grid on which the Dirichlet prior's atoms are redrawn
+SHIFT_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -68,10 +70,6 @@ class PriorConfig:
     sieve: SievePriorConfig
     shift_prior: DirichletPriorConfig | SmoothPriorConfig
 
-    @property
-    def kind(self) -> str:
-        return "dp" if isinstance(self.shift_prior, DirichletPriorConfig) else "smooth"
-
 
 @dataclass
 class PosteriorEnsemble:
@@ -79,7 +77,6 @@ class PosteriorEnsemble:
 
     samples: list[tuple[FourierSeries, ShiftDistribution, float]]
     diagnostics: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         w = np.array([s[2] for s in self.samples])
@@ -161,7 +158,7 @@ def importance_posterior(
     """
     if draws < 1:
         raise ValueError("need at least one draw")
-    sample_g = sample_dp if prior_cfg.kind == "dp" else sample_smooth
+    sample_g = _SHIFT_MOVES[type(prior_cfg.shift_prior)].sample_prior
     thetas = []
     gs = []
     logl = np.empty(draws)
@@ -177,30 +174,128 @@ def importance_posterior(
     ess = 1.0 / float(np.sum(w**2))
     diag = {"ess": ess, "low_ess_warning": bool(ess < 10.0)}
     samples = [(thetas[d], gs[d], float(w[d])) for d in range(draws)]
-    return PosteriorEnsemble(samples, diag, {"draws": draws, "kind": prior_cfg.kind})
+    return PosteriorEnsemble(samples, diag)
+
+
+class _DirichletShifts:
+    """Shift move of the Dirichlet prior: the blocked Gibbs update of the
+    truncated stick-breaking measure (Ishwaran & James, JASA 2001).
+
+    The latent shifts live on the measure's atoms.  A refresh draws the
+    stick fractions from their Beta conditionals and every atom on the
+    ``SHIFT_GRID``-point grid.
+    """
+
+    sample_prior = staticmethod(sample_dp)
+    pcn_accepted = pcn_proposed = 0  # the refresh is exact; no pCN move
+
+    def __init__(self, cfg: DirichletPriorConfig, ks: np.ndarray, rng):
+        self.cfg = cfg
+        self.ks = ks
+        self.grid = np.arange(SHIFT_GRID) / SHIFT_GRID
+        self.basis = _fourier_basis(ks, self.grid)
+        g0 = sample_dp(cfg, rng)
+        self.atoms = g0.positions.copy()
+        self.stick_w = g0.weights.copy()
+        base = cfg.base_density
+        on_grid = np.maximum(np.interp(self.grid, base.grid, base.values), 1e-300)
+        self.log_base = np.log(on_grid)
+        cdf = np.cumsum(on_grid)
+        self.base_cdf = cdf / cdf[-1]  # ends in exactly 1, above any uniform
+
+    def candidates(self) -> np.ndarray:
+        return self.atoms
+
+    def logits(self, b: np.ndarray) -> np.ndarray:
+        logw = np.log(np.maximum(self.stick_w, 1e-300))
+        return _real_part_logits(b, _fourier_basis(self.ks, self.atoms), logw)
+
+    def update(self, assignments, y, theta, rng):
+        k = self.cfg.truncation
+        counts = np.bincount(assignments, minlength=k).astype(float)
+        tail = np.concatenate([np.cumsum(counts[::-1])[::-1][1:], [0.0]])
+        v = rng.beta(1.0 + counts[:-1], self.cfg.total_mass + tail[:-1])
+        self.stick_w = stick_breaking(v)
+        # atom locations: categorical on the grid, conjugate to the
+        # per-cluster sums of rotated observations; an empty cluster's sum
+        # is zero, so its atom comes from the base CDF
+        cluster_sums = np.zeros((k, y.shape[1]), dtype=complex)
+        np.add.at(cluster_sums, assignments, y)
+        occupied = counts > 0
+        atoms = np.empty(k)
+        u = rng.random(k - int(occupied.sum()))
+        atoms[~occupied] = self.grid[np.searchsorted(self.base_cdf, u, side="right")]
+        b = cluster_sums[occupied] * np.conj(theta)
+        logits = _real_part_logits(b, self.basis, self.log_base)
+        atoms[occupied] = self.grid[_categorical(logits, rng)]
+        self.atoms = atoms
+
+    def law(self) -> Discrete:
+        return Discrete(self.atoms, self.stick_w / self.stick_w.sum())
+
+
+class _SmoothShifts:
+    """Shift move of the smooth prior: the latent shifts live on the open
+    grid ``i / cfg.grid``, and the Gaussian process behind the density
+    (on the closed grid) takes a preconditioned Crank-Nicolson step of
+    size ``PCN_BETA``, refused outside twice the smoothness ball."""
+
+    sample_prior = staticmethod(sample_smooth)
+
+    def __init__(self, cfg: SmoothPriorConfig, ks: np.ndarray, rng):
+        self.cfg = cfg
+        self.grid = np.arange(cfg.grid) / cfg.grid
+        self.basis = _fourier_basis(ks, self.grid)
+        self.g_density, self.w_process = sample_smooth_with_process(cfg, rng)
+        self.pcn_accepted = self.pcn_proposed = 0
+
+    def candidates(self) -> np.ndarray:
+        return self.grid
+
+    def logits(self, b: np.ndarray) -> np.ndarray:
+        logw = self.w_process[:-1] - _log_trapz_exp(self.w_process)
+        return _real_part_logits(b, self.basis, logw)
+
+    def update(self, assignments, y, theta, rng):
+        self.pcn_proposed += 1
+        fresh = gp_draw(self.cfg, rng)
+        proposal = math.sqrt(1.0 - PCN_BETA**2) * self.w_process + PCN_BETA * fresh
+        density = exp_density(proposal)
+        if sobolev_radius(density, self.cfg.nu) > 2.0 * self.cfg.radius:
+            return
+        logz_step = _log_trapz_exp(proposal) - _log_trapz_exp(self.w_process)
+        log_r = float(np.sum(proposal[assignments] - self.w_process[assignments]))
+        log_r -= assignments.size * logz_step
+        if math.log(rng.random()) < min(0.0, log_r):
+            self.pcn_accepted += 1
+            self.w_process = proposal
+            self.g_density = density
+
+    def law(self) -> ShiftDistribution:
+        return self.g_density
+
+
+# the shift move of each shift prior's config class: the one place the
+# samplers look at which shift prior they run
+_SHIFT_MOVES = {
+    DirichletPriorConfig: _DirichletShifts,
+    SmoothPriorConfig: _SmoothShifts,
+}
 
 
 class GibbsSampler:
     """Data-augmented Gibbs sampler over (level, shape, shifts, mixing law).
 
-    The shift grid has ``phi_grid`` points; with the Dirichlet prior the
-    latent shifts live on the atoms of the truncated stick-breaking
-    measure instead.  All conditional updates are exact given the grid
-    and truncation.
+    The shift prior's part of the chain (candidate shifts, their logits,
+    the mixing-law refresh and the current law) is one move object,
+    ``_DirichletShifts`` or ``_SmoothShifts``, chosen by the prior's
+    config class.  All conditional updates are exact given the shift
+    grid and truncation.
     """
 
-    def __init__(
-        self,
-        obs: ObservationSet,
-        prior: PriorConfig,
-        rng: np.random.Generator,
-        phi_grid: int = 1024,
-        record_level_proposals: bool = False,
-    ):
+    def __init__(self, obs: ObservationSet, prior: PriorConfig, rng):
         if obs.cutoff < 1:
             raise ValueError("field 'cutoff': the sampler needs 1 or more, got 0")
-        self.obs = obs
-        self.prior = prior
         self.rng = rng
         self.n = obs.n
         self.l_max = min(prior.sieve.l_max, obs.cutoff)
@@ -209,13 +304,8 @@ class GibbsSampler:
         self.Y = obs.curves[:, obs.cutoff - self.l_max : obs.cutoff + self.l_max + 1]
         self.xi2 = prior.sieve.xi2
         self.level_pmf = lambda_pmf(prior.sieve)
-        self.phi = np.arange(phi_grid) / phi_grid
-        self.grid_basis = _fourier_basis(self.ks, self.phi)
         self.level_accepted = 0
         self.level_proposed = 0
-        self.pcn_accepted = 0
-        self.pcn_proposed = 0
-        self.level_log: list[tuple[float, float]] = [] if record_level_proposals else None
 
         self.level = 1
         self.theta = np.zeros(self.p, dtype=complex)
@@ -223,44 +313,24 @@ class GibbsSampler:
         self.theta[active] = math.sqrt(self.xi2) * complex_gaussian_array(
             rng, int(active.sum())
         )
-        if prior.kind == "dp":
-            g0 = sample_dp(prior.shift_prior, rng)
-            self.atoms = g0.positions.copy()
-            self.stick_w = g0.weights.copy()
-            base = prior.shift_prior.base_density
-            on_grid = np.maximum(np.interp(self.phi, base.grid, base.values), 1e-300)
-            self.log_base = np.log(on_grid)
-            cdf = np.cumsum(on_grid)
-            self.base_cdf = cdf / cdf[-1]  # ends in exactly 1, above any uniform
-        else:
-            cfg = prior.shift_prior
-            # GP trajectories live on the sampler's shift grid
-            self.smooth_cfg = SmoothPriorConfig(
-                cfg.nu, cfg.radius, grid=phi_grid, max_rejections=cfg.max_rejections
-            )
-            self.g_density, self.w_process = sample_smooth_with_process(
-                self.smooth_cfg, rng
-            )
+        move = _SHIFT_MOVES[type(prior.shift_prior)]
+        self.shift_move = move(prior.shift_prior, self.ks, rng)
         # each curve's shift is shift_candidates()[assignments]
         self.assignments = rng.integers(0, self.shift_candidates().size, size=self.n)
         self.tau = self.shift_candidates()[self.assignments]
 
+    # the shift move's pCN counters (always 0 with the Dirichlet prior)
+    pcn_accepted = property(lambda self: self.shift_move.pcn_accepted)
+    pcn_proposed = property(lambda self: self.shift_move.pcn_proposed)
+
     # -- shift update -------------------------------------------------
 
     def shift_candidates(self) -> np.ndarray:
-        if self.prior.kind == "dp":
-            return self.atoms
-        return self.phi
+        return self.shift_move.candidates()
 
     def shift_log_weights(self) -> np.ndarray:
         """Unnormalized log posterior of each curve's shift over candidates."""
-        if self.prior.kind == "dp":
-            logw = np.log(np.maximum(self.stick_w, 1e-300))
-            basis = _fourier_basis(self.ks, self.atoms)
-        else:
-            logw = self.w_process[:-1] - _log_trapz_exp(self.w_process)
-            basis = self.grid_basis
-        return _real_part_logits(self.Y * np.conj(self.theta), basis, logw)
+        return self.shift_move.logits(self.Y * np.conj(self.theta))
 
     def update_shifts(self):
         self.assignments = _categorical(self.shift_log_weights(), self.rng)
@@ -269,12 +339,7 @@ class GibbsSampler:
     # -- shape update -------------------------------------------------
 
     @staticmethod
-    def conjugate_refresh(
-        s_stat: np.ndarray,
-        count: float,
-        xi2: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
+    def conjugate_refresh(s_stat, count: float, xi2: float, rng) -> np.ndarray:
         """Exact coefficient refresh given shifts.
 
         Posterior of one coefficient with sufficient statistic
@@ -336,8 +401,6 @@ class GibbsSampler:
         else:
             pair = self.theta[pair_idx]
         log_r = self._level_log_ratio(new_level, pair[0], pair[1])
-        if self.level_log is not None:
-            self.level_log.append((log_r, -log_r))
         if math.log(self.rng.random()) < min(0.0, log_r):
             self.level_accepted += 1
             self.theta[pair_idx] = pair if go_up else 0.0
@@ -345,59 +408,14 @@ class GibbsSampler:
 
     # -- mixing law ----------------------------------------------------
 
-    def _update_dp(self):
-        cfg = self.prior.shift_prior
-        k = cfg.truncation
-        counts = np.bincount(self.assignments, minlength=k).astype(float)
-        tail = np.concatenate([np.cumsum(counts[::-1])[::-1][1:], [0.0]])
-        v = self.rng.beta(1.0 + counts[:-1], cfg.total_mass + tail[:-1])
-        self.stick_w = stick_breaking(v)
-        # atom locations: categorical on the grid, conjugate to the
-        # per-cluster sums of rotated observations; an empty cluster's sum
-        # is zero, so its atom comes from the base CDF (Ishwaran & James 2001)
-        cluster_sums = np.zeros((k, self.p), dtype=complex)
-        np.add.at(cluster_sums, self.assignments, self.Y)
-        occupied = counts > 0
-        atoms = np.empty(k)
-        u = self.rng.random(k - int(occupied.sum()))
-        atoms[~occupied] = self.phi[np.searchsorted(self.base_cdf, u, side="right")]
-        b = cluster_sums[occupied] * np.conj(self.theta)
-        logits = _real_part_logits(b, self.grid_basis, self.log_base)
-        atoms[occupied] = self.phi[_categorical(logits, self.rng)]
-        self.atoms = atoms
-        self.tau = atoms[self.assignments]
-
-    def _update_smooth(self):
-        cfg = self.smooth_cfg
-        self.pcn_proposed += 1
-        beta = PCN_BETA
-        fresh = gp_draw(cfg, self.rng)
-        proposal = math.sqrt(1.0 - beta**2) * self.w_process + beta * fresh
-        density = exp_density(proposal)
-        if sobolev_radius(density, cfg.nu) > 2.0 * cfg.radius:
-            return
-        logz_old = _log_trapz_exp(self.w_process)
-        logz_new = _log_trapz_exp(proposal)
-        old_vals = self.w_process[self.assignments]
-        new_vals = proposal[self.assignments]
-        log_r = float(np.sum(new_vals - old_vals)) - self.n * (logz_new - logz_old)
-        if math.log(self.rng.random()) < min(0.0, log_r):
-            self.pcn_accepted += 1
-            self.w_process = proposal
-            self.g_density = density
-
     def update_shift_distribution(self):
-        if self.prior.kind == "dp":
-            self._update_dp()
-        else:
-            self._update_smooth()
+        self.shift_move.update(self.assignments, self.Y, self.theta, self.rng)
+        self.tau = self.shift_candidates()[self.assignments]
 
     # -- driver ---------------------------------------------------------
 
     def current_g(self) -> ShiftDistribution:
-        if self.prior.kind == "dp":
-            return Discrete(self.atoms, self.stick_w / self.stick_w.sum())
-        return self.g_density
+        return self.shift_move.law()
 
     def current_theta(self) -> FourierSeries:
         window = self.theta[self.l_max - self.level : self.l_max + self.level + 1]
@@ -409,11 +427,9 @@ class GibbsSampler:
         self.update_level()
         self.update_shift_distribution()
 
-    def run(self, steps: int, burn_in: int | None = None, thin: int = 1):
+    def run(self, steps: int, burn_in: int, thin: int) -> PosteriorEnsemble:
         if steps < 1:
             raise ValueError("need at least one sweep")
-        if burn_in is None:
-            burn_in = steps // 3
         kept = []
         for step in range(steps):
             self.sweep()
@@ -427,16 +443,7 @@ class GibbsSampler:
             "pcn_beta": PCN_BETA,
             "kept": len(kept),
         }
-        if self.level_log is not None:
-            diag["level_proposals"] = list(self.level_log)
-        cfg = {
-            "steps": steps,
-            "burn_in": burn_in,
-            "thin": thin,
-            "kind": self.prior.kind,
-            "l_max": self.l_max,
-        }
-        return PosteriorEnsemble(samples, diag, cfg)
+        return PosteriorEnsemble(samples, diag)
 
 
 def _fourier_basis(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -478,18 +485,10 @@ def gibbs_posterior(
     prior_cfg: PriorConfig,
     steps: int,
     rng: np.random.Generator,
-    phi_grid: int = 1024,
     max_kept: int = 400,
-    record_level_proposals: bool = False,
 ) -> PosteriorEnsemble:
     """Run the Gibbs sampler and return the thinned post-burn-in ensemble."""
-    sampler = GibbsSampler(
-        obs,
-        prior_cfg,
-        rng,
-        phi_grid=phi_grid,
-        record_level_proposals=record_level_proposals,
-    )
+    sampler = GibbsSampler(obs, prior_cfg, rng)
     burn = steps // 3
     thin = max(1, (steps - burn) // max_kept)
     return sampler.run(steps, burn_in=burn, thin=thin)
@@ -511,17 +510,20 @@ def ball_mass(
     """
     if radius == math.inf:
         return 1.0
-    base = "H2" if metric == "H" else metric
+    dists = _sample_distances(ens, truth, metric, mc_samples, rng)
+    return sum((w for (_, _, w), d in zip(ens.samples, dists) if d <= radius), 0.0)
+
+
+def _sample_distances(ens, truth: MixtureLaw, metric: str, mc_samples: int, rng):
+    """Monte-Carlo ``metric`` distance from each sample's law to ``truth``,
+    in sample order, at their common frequency window; "H" is the square
+    root of the squared-Hellinger estimate."""
     cut = max(ens.max_cutoff(), truth.theta.cutoff)
-    truth_padded = MixtureLaw(project(truth.theta, cut), truth.g)
-    mass = 0.0
-    for theta, g, w in ens.samples:
-        law = MixtureLaw(project(theta, cut), g)
-        est = mc_distance(law, truth_padded, base, mc_samples, rng)
-        value = math.sqrt(max(est.value, 0.0)) if metric == "H" else est.value
-        if value <= radius:
-            mass += w
-    return mass
+    truth = MixtureLaw(project(truth.theta, cut), truth.g)
+    base = "H2" if metric == "H" else metric
+    laws = [MixtureLaw(project(theta, cut), g) for theta, g, _ in ens.samples]
+    est = [mc_distance(law, truth, base, mc_samples, rng).value for law in laws]
+    return np.sqrt(np.maximum(est, 0.0)) if metric == "H" else np.asarray(est)
 
 
 @dataclass(frozen=True)
@@ -566,13 +568,8 @@ def _experiment_row(
     dp = DirichletPriorConfig(uniform_density(512), total_mass=1.0, truncation=100)
     prior = PriorConfig(SievePriorConfig.adaptive(n), dp)
     ens = gibbs_posterior(obs, prior, steps, rng, max_kept=80)
+    dhs = _sample_distances(ens, MixtureLaw(truth_theta, truth_g), "H", 2000, rng)
     cut = max(ens.max_cutoff(), truth_theta.cutoff)
-    truth_law = MixtureLaw(project(truth_theta, cut), truth_g)
-    dhs = []
-    for theta, g, _ in ens.samples:
-        law = MixtureLaw(project(theta, cut), g)
-        h2 = mc_distance(law, truth_law, "H2", 2000, rng).value
-        dhs.append(math.sqrt(max(h2, 0.0)))
     truth_coeffs = project(truth_theta, cut).coeffs
     mean_aligned = project(ens.mean_theta(aligned=True), cut).coeffs
     mean_raw = project(ens.mean_theta(aligned=False), cut).coeffs

@@ -140,8 +140,7 @@ def sample_complex_gaussian(rng: np.random.Generator) -> complex:
     Real and imaginary parts are independent centered normals of
     variance 1/2, so ``E|z|^2 = 1``.
     """
-    scale = math.sqrt(0.5)
-    return complex(rng.normal(0.0, scale), rng.normal(0.0, scale))
+    return complex(complex_gaussian_array(rng, ()))
 
 
 def complex_gaussian_array(rng: np.random.Generator, shape) -> np.ndarray:

@@ -38,10 +38,10 @@ def dp_prior(n, l_max=2, truncation=50):
     )
 
 
-def smooth_prior(n, l_max=2):
+def smooth_prior(n, l_max=2, grid=256):
     return PriorConfig(
         SievePriorConfig.adaptive(n, l_max=l_max),
-        SmoothPriorConfig(nu=1.5, radius=2.0, grid=256),
+        SmoothPriorConfig(nu=1.5, radius=2.0, grid=grid),
     )
 
 
@@ -175,12 +175,13 @@ class TestGibbsConjugacy:
         # conditional peaks at the grid point nearest the true shift
         obs = simulate(TRUTH, Discrete.point_mass(0.3), 50, 2, sigma=0.0, seed=1)
         rng = np.random.default_rng(6)
-        sampler = GibbsSampler(obs, smooth_prior(50), rng, phi_grid=1024)
+        sampler = GibbsSampler(obs, smooth_prior(50, grid=1024), rng)
         sampler.level = 2
         sampler.theta = project(TRUTH, sampler.l_max).coeffs.copy()
-        sampler.w_process = np.zeros_like(sampler.w_process)
+        move = sampler.shift_move
+        move.w_process = np.zeros_like(move.w_process)
         logits = sampler.shift_log_weights()
-        modes = sampler.phi[np.argmax(logits, axis=1)]
+        modes = move.grid[np.argmax(logits, axis=1)]
         target = round(0.3 * 1024) / 1024.0
         assert np.allclose(modes, target)
 
@@ -249,26 +250,27 @@ class TestDirichletAtomUpdate:
             DirichletPriorConfig(raised_cosine_density(256), 1.0, 100),
         )
         sampler = GibbsSampler(obs, prior, np.random.default_rng(32))
+        move = sampler.shift_move
         sampler.assignments = np.array([0, 0, 1, 1, 7, 7])
         sampler.theta = project(TRUTH, sampler.l_max).coeffs.copy()
         draws = 2000
         got = np.empty((draws, 100))
         for d in range(draws):
-            sampler._update_dp()
-            got[d] = sampler.atoms
+            move.update(sampler.assignments, sampler.Y, sampler.theta, sampler.rng)
+            got[d] = move.atoms
 
         # the conditional of every atom by Gumbel-max over all 100 rows
         rng = np.random.default_rng(33)
         sums = np.zeros((100, sampler.p), dtype=complex)
         np.add.at(sums, sampler.assignments, sampler.Y)
-        basis = np.exp(2j * np.pi * np.outer(sampler.ks, sampler.phi))
-        logits = sampler.log_base[None, :] + 2.0 * (
+        basis = np.exp(2j * np.pi * np.outer(sampler.ks, move.grid))
+        logits = move.log_base[None, :] + 2.0 * (
             (sums * np.conj(sampler.theta)) @ basis
         ).real
         want = np.empty((draws, 100))
         for d in range(draws):
             gumbel = rng.gumbel(size=logits.shape)
-            want[d] = sampler.phi[np.argmax(logits + gumbel, axis=1)]
+            want[d] = move.grid[np.argmax(logits + gumbel, axis=1)]
 
         def same_law(a, b):
             table = np.array(
@@ -284,16 +286,26 @@ class TestDirichletAtomUpdate:
 
 
 class TestLevelMove:
-    def test_detailed_balance_of_logged_proposals(self):
-        obs = simulate(TRUTH, raised_cosine_density(), 15, 2, seed=3)
+    def test_birth_and_death_ratios_cancel(self):
+        # the birth L -> L+1 of a pair and the death L+1 -> L of the same
+        # pair are reverse moves: their MH log ratios sum to zero
+        obs = simulate(TRUTH, raised_cosine_density(), 15, 3, seed=3)
         rng = np.random.default_rng(7)
-        ens = gibbs_posterior(
-            obs, dp_prior(15), 120, rng, record_level_proposals=True
-        )
-        proposals = ens.diagnostics["level_proposals"]
-        assert len(proposals) > 0
-        for fwd, bwd in proposals:
-            assert fwd + bwd == pytest.approx(0.0, abs=1e-12)
+        sampler = GibbsSampler(obs, dp_prior(15, l_max=3), rng)
+        for _ in range(5):
+            sampler.sweep()
+        for level in (1, 2):
+            k = level + 1
+            pair = rng.normal(size=2) + 1j * rng.normal(size=2)
+            sampler.level = level
+            birth = sampler._level_log_ratio(level + 1, pair[0], pair[1])
+            assert birth != pytest.approx(0.0, abs=1e-3)
+            sampler.level = level + 1
+            sampler.theta[[k + sampler.l_max, -k + sampler.l_max]] = pair
+            death = sampler._level_log_ratio(
+                level, *sampler.theta[[k + sampler.l_max, -k + sampler.l_max]]
+            )
+            assert birth + death == pytest.approx(0.0, abs=1e-12)
 
     def test_level_stays_in_range(self):
         obs = simulate(TRUTH, raised_cosine_density(), 15, 2, seed=4)
@@ -345,7 +357,7 @@ class TestGibbsPosterior:
     def test_smooth_prior_path(self):
         obs = simulate(TRUTH, raised_cosine_density(), 12, 2, seed=7)
         rng = np.random.default_rng(12)
-        ens = gibbs_posterior(obs, smooth_prior(12), 150, rng, phi_grid=256)
+        ens = gibbs_posterior(obs, smooth_prior(12), 150, rng)
         assert ens.diagnostics["kept"] > 0
         assert 0.0 <= ens.diagnostics["pcn_acceptance"] <= 1.0
         theta, g, _ = ens.samples[-1]
@@ -363,6 +375,16 @@ class TestGibbsPosterior:
         xi2 = SievePriorConfig.adaptive(400).xi2
         expected = (1.0 / xi2) / (400 + 1.0 / xi2) * np.linalg.norm(TRUTH.coeffs)
         assert err < expected + 0.05
+
+
+class TestShiftGrid:
+    def test_smooth_prior_grid_is_the_shift_grid(self):
+        obs = simulate(TRUTH, raised_cosine_density(), 10, 2, seed=11)
+        sampler = GibbsSampler(obs, smooth_prior(10, grid=64), np.random.default_rng(18))
+        assert sampler.shift_candidates().size == 64
+        g = sampler.current_g()
+        assert isinstance(g, GridDensity)
+        assert g.m == 64
 
 
 class TestBallMass:

@@ -148,3 +148,11 @@ class TestComplexGaussian:
         rng = np.random.default_rng(3)
         z = sample_complex_gaussian(rng)
         assert isinstance(z, complex)
+
+    def test_scalar_sampler_is_array_stream(self):
+        # real part first, then imaginary, each N(0, 1/2), in both samplers
+        scalar, array, pairs = (np.random.default_rng(4) for _ in range(3))
+        for _ in range(5):
+            z = sample_complex_gaussian(scalar)
+            assert z == complex(complex_gaussian_array(array, ()))
+            assert z == complex(*pairs.normal(0.0, math.sqrt(0.5), 2))
