@@ -171,7 +171,8 @@ def int_from_json(value, name: str) -> int:
 
 def complex_to_json(values) -> list:
     """JSON form ``[[re, im], ...]`` of a complex vector."""
-    return [[float(c.real), float(c.imag)] for c in values]
+    pairs = np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2)
+    return pairs.tolist()
 
 
 def complex_from_json(value, name: str) -> np.ndarray:

@@ -101,15 +101,13 @@ class PosteriorEnsemble:
         """Weighted posterior mean of the shape coefficients.
 
         With ``aligned=True`` every sample is first rotated into the
-        gauge where its first coefficient has zero phase (with the
-        matching counter-shift applied to its mixing law).
+        gauge where its first coefficient has zero phase.
         """
         cut = self.max_cutoff()
         acc = np.zeros(2 * cut + 1, dtype=complex)
         for theta, g, w in self.samples:
-            if aligned:
-                theta, _ = align_pair(theta, g)
-            acc += w * project(theta, cut).coeffs
+            c = _gauge(theta) if aligned else None
+            acc += w * project(theta if c is None else rotate(theta, c), cut).coeffs
         return FourierSeries(cut, acc)
 
     def mean_g_grid(self) -> np.ndarray:
@@ -136,11 +134,14 @@ def align_pair(
     unchanged; samples with a vanishing first coefficient are returned
     as they are.
     """
+    c = _gauge(theta)
+    return (theta, g) if c is None else (rotate(theta, c), shift_measure(g, -c))
+
+
+def _gauge(theta: FourierSeries) -> float | None:
+    """The rotation giving the first coefficient zero phase; None if it vanishes."""
     c1 = theta.coeff(1)
-    if abs(c1) < 1e-12:
-        return theta, g
-    c = math.atan2(c1.imag, c1.real) / (2.0 * math.pi)
-    return rotate(theta, c), shift_measure(g, -c)
+    return None if abs(c1) < 1e-12 else math.atan2(c1.imag, c1.real) / (2.0 * math.pi)
 
 
 def importance_posterior(
@@ -191,11 +192,12 @@ class _DirichletShifts:
 
     def __init__(self, cfg: DirichletPriorConfig, ks: np.ndarray, rng):
         self.cfg = cfg
-        self.ks = ks
         self.grid = np.arange(SHIFT_GRID) / SHIFT_GRID
-        self.basis = _fourier_basis(ks, self.grid)
+        self.grid_basis = _fourier_basis(ks, self.grid)
         g0 = sample_dp(cfg, rng)
         self.atoms = g0.positions.copy()
+        # the atoms' basis; once they are redrawn, columns of grid_basis
+        self.basis = _fourier_basis(ks, self.atoms)
         self.stick_w = g0.weights.copy()
         base = cfg.base_density
         on_grid = np.maximum(np.interp(self.grid, base.grid, base.values), 1e-300)
@@ -208,7 +210,7 @@ class _DirichletShifts:
 
     def logits(self, b: np.ndarray) -> np.ndarray:
         logw = np.log(np.maximum(self.stick_w, 1e-300))
-        return _real_part_logits(b, _fourier_basis(self.ks, self.atoms), logw)
+        return _real_part_logits(b, self.basis, logw)
 
     def update(self, assignments, y, theta, rng):
         k = self.cfg.truncation
@@ -222,13 +224,13 @@ class _DirichletShifts:
         cluster_sums = np.zeros((k, y.shape[1]), dtype=complex)
         np.add.at(cluster_sums, assignments, y)
         occupied = counts > 0
-        atoms = np.empty(k)
+        idx = np.empty(k, dtype=int)
         u = rng.random(k - int(occupied.sum()))
-        atoms[~occupied] = self.grid[np.searchsorted(self.base_cdf, u, side="right")]
+        idx[~occupied] = np.searchsorted(self.base_cdf, u, side="right")
         b = cluster_sums[occupied] * np.conj(theta)
-        logits = _real_part_logits(b, self.basis, self.log_base)
-        atoms[occupied] = self.grid[_categorical(logits, rng)]
-        self.atoms = atoms
+        logits = _real_part_logits(b, self.grid_basis, self.log_base)
+        idx[occupied] = _categorical(logits, rng)
+        self.atoms, self.basis = self.grid[idx], self.grid_basis[:, idx]
 
     def law(self) -> Discrete:
         return Discrete(self.atoms, self.stick_w / self.stick_w.sum())
@@ -286,11 +288,11 @@ _SHIFT_MOVES = {
 class GibbsSampler:
     """Data-augmented Gibbs sampler over (level, shape, shifts, mixing law).
 
-    The shift prior's part of the chain (candidate shifts, their logits,
-    the mixing-law refresh and the current law) is one move object,
-    ``_DirichletShifts`` or ``_SmoothShifts``, chosen by the prior's
-    config class.  All conditional updates are exact given the shift
-    grid and truncation.
+    The shift prior's part of the chain (candidate shifts and their
+    basis, the logits, the mixing-law refresh and the current law) is one
+    move object, ``_DirichletShifts`` or ``_SmoothShifts``, chosen by the
+    prior's config class.  All conditional updates are exact given the
+    shift grid and truncation.
     """
 
     def __init__(self, obs: ObservationSet, prior: PriorConfig, rng):
@@ -317,7 +319,6 @@ class GibbsSampler:
         self.shift_move = move(prior.shift_prior, self.ks, rng)
         # each curve's shift is shift_candidates()[assignments]
         self.assignments = rng.integers(0, self.shift_candidates().size, size=self.n)
-        self.tau = self.shift_candidates()[self.assignments]
 
     # the shift move's pCN counters (always 0 with the Dirichlet prior)
     pcn_accepted = property(lambda self: self.shift_move.pcn_accepted)
@@ -334,7 +335,12 @@ class GibbsSampler:
 
     def update_shifts(self):
         self.assignments = _categorical(self.shift_log_weights(), self.rng)
-        self.tau = self.shift_candidates()[self.assignments]
+
+    @property
+    def phases(self) -> np.ndarray:
+        """``e^{2 pi i k tau_j}`` per curve: the candidate basis's columns."""
+        cols = self.shift_move.basis.T[self.assignments]
+        return cols[:, : self.p] + 1j * cols[:, self.p :]
 
     # -- shape update -------------------------------------------------
 
@@ -352,8 +358,7 @@ class GibbsSampler:
         return s_stat / prec + noise / math.sqrt(prec)
 
     def _suff_stats(self) -> np.ndarray:
-        phases = np.exp(2j * np.pi * np.outer(self.tau, self.ks))
-        return np.sum(self.Y * phases, axis=0)
+        return np.sum(self.Y * self.phases, axis=0)
 
     def update_theta(self):
         s_stat = self._suff_stats()
@@ -369,8 +374,11 @@ class GibbsSampler:
         versus leaving them at zero, holding the shifts fixed."""
         gain = 0.0
         for freq, coeff in ((k, coeff_pos), (-k, coeff_neg)):
-            col = self.Y[:, freq + self.l_max]
-            mean = coeff * np.exp(-2j * np.pi * freq * self.tau)
+            i = freq + self.l_max
+            col = self.Y[:, i]
+            # the curves' phases at freq alone: two rows of the basis
+            cos, sin = self.shift_move.basis[[i, i + self.p]][:, self.assignments]
+            mean = coeff * (cos - 1j * sin)
             gain += float(np.sum(np.abs(col) ** 2 - np.abs(col - mean) ** 2))
         return gain
 
@@ -410,7 +418,6 @@ class GibbsSampler:
 
     def update_shift_distribution(self):
         self.shift_move.update(self.assignments, self.Y, self.theta, self.rng)
-        self.tau = self.shift_candidates()[self.assignments]
 
     # -- driver ---------------------------------------------------------
 
@@ -461,14 +468,26 @@ def _real_part_logits(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray):
 
 def _categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One index per row with probability proportional to ``exp(logits)``
-    (overwritten): the count of cumulative masses ``<= u``, with ``u`` one
-    uniform scaled by the row total and held below it, so the index never
-    has zero probability."""
+    (overwritten), by a two-level inverse CDF: one uniform scaled by the row
+    total picks a block of ``isqrt(k)`` entries and its remainder an entry
+    in it; each is held below its total, so no zero-probability index."""
+    rows, k = logits.shape
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
-    cdf = np.cumsum(logits, axis=1, out=logits)
-    total = cdf[:, -1]
-    u = np.minimum(rng.random(cdf.shape[0]) * total, np.nextafter(total, 0.0))
+    width, r = math.isqrt(k), np.arange(rows)
+    block_cdf = np.add.reduceat(logits, np.arange(0, k, width), axis=1).cumsum(axis=1)
+    u = rng.random(rows) * block_cdf[:, -1]
+    block = _search(block_cdf, u)
+    u -= np.where(block > 0, block_cdf[r, block - 1], 0.0)
+    cols = block[:, None] * width + np.arange(width)
+    inside = logits[r[:, None], np.minimum(cols, k - 1)]
+    inside[cols >= k] = 0.0  # past the end of a partial last block
+    return block * width + _search(np.cumsum(inside, axis=1, out=inside), u)
+
+
+def _search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Count of cumulative masses ``<= u`` per row, ``u`` held below the total."""
+    u = np.minimum(u, np.nextafter(cdf[:, -1], 0.0))
     return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 

@@ -111,7 +111,7 @@ class Discrete(ShiftDistribution):
         raise TypeError("atomic measures have no finite smoothness radius")
 
     def to_json(self) -> dict:
-        atoms = [[float(p), float(w)] for p, w in zip(self.positions, self.weights)]
+        atoms = np.column_stack([self.positions, self.weights]).tolist()
         return {"kind": "discrete", "atoms": atoms}
 
 
@@ -191,7 +191,7 @@ class GridDensity(ShiftDistribution):
         return self.m // 2
 
     def to_json(self) -> dict:
-        return {"kind": "grid", "values": [float(v) for v in self.values]}
+        return {"kind": "grid", "values": self.values.tolist()}
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Fourier series arithmetic: rotations, norms, projections, synthesis."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from simlab.fourier import (
     FourierSeries,
+    complex_to_json,
     evaluate,
     h1_norm,
     is_phase_normalized,
@@ -45,6 +48,11 @@ class TestConstruction:
         back = series_from_json(series_to_json(th))
         assert back.cutoff == 3
         assert np.array_equal(back.coeffs, th.coeffs)
+
+    def test_complex_json_keeps_every_bit(self):
+        values = np.array([[complex(-0.0, 0.0), 1e-310 - 2.5j, 0.1 + 1 / 3 * 1j]])
+        text = json.dumps(complex_to_json(values[0, ::-1]))
+        assert text == "[[0.1, 0.3333333333333333], [1e-310, -2.5], [-0.0, 0.0]]"
 
     @pytest.mark.parametrize(
         "doc,fieldname",

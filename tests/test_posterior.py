@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from simlab.fourier import FourierSeries, project
@@ -201,6 +203,21 @@ class _ConstantUniform:
         return np.full(size, self.value)
 
 
+def _single_level(logits, u):
+    """Reference draw: the count of cumulative masses ``<= u``, with ``u``
+    one uniform per row scaled by the row total and held below it."""
+    cdf = np.cumsum(np.exp(logits - logits.max(axis=1, keepdims=True)), axis=1)
+    total = cdf[:, -1]
+    u = np.minimum(u * total, np.nextafter(total, 0.0))
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
+
+
+def _finite_or_neg_inf_rows():
+    entry = st.one_of(st.floats(-1e3, 1e3), st.just(-np.inf))
+    row = st.lists(entry, min_size=1, max_size=60)
+    return row.filter(lambda r: any(np.isfinite(r)))
+
+
 class TestCategorical:
     @pytest.mark.parametrize(
         "row, draws, seed",
@@ -239,6 +256,59 @@ class TestCategorical:
         p = np.array([_softmax(row) for row in logits])
         idx = _categorical(logits.copy(), _ConstantUniform(u))
         assert np.all(p[np.arange(len(idx)), idx] > 0.0)
+
+    # isqrt(k)-blocks: k = 7, 1000 and 1025 leave a partial last block
+    @pytest.mark.parametrize("k", [1, 2, 7, 30, 100, 1000, 1024, 1025])
+    def test_same_index_as_single_level_search(self, k):
+        rng = np.random.default_rng(k)
+        logits = rng.normal(size=(300, k)) * rng.uniform(0.1, 20.0, size=(300, 1))
+        logits[rng.random((300, k)) < 0.3] = -np.inf
+        logits[:, 0] = np.where(np.isinf(logits).all(axis=1), 0.0, logits[:, 0])
+        last_only = np.full((2, k), -np.inf)
+        last_only[:, -1] = 0.0
+        last_only[1, -(k % math.isqrt(k) or 1) :] = 0.5
+        logits = np.vstack([logits, last_only])
+        got = _categorical(logits.copy(), np.random.default_rng(99))
+        u = np.random.default_rng(99).random(logits.shape[0])
+        np.testing.assert_array_equal(got, _single_level(logits, u))
+        # at the ends of the unit interval the two searches may round to
+        # different entries; both must have positive probability
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        for u in (0.0, 1.0 - 2.0**-53, 1.0):
+            got = _categorical(logits.copy(), _ConstantUniform(u))
+            assert np.all(p[np.arange(len(got)), got] > 0.0)
+
+    # rows where the top uniform, less the chosen block's lower sum, reaches
+    # that block's own total: unless held below it, the search runs past
+    # the block's last positive entry (for the second row, past the row)
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [-np.inf, 13.14112901964274, -21.61107467956346, -np.inf, -np.inf, -np.inf],
+            [
+                -12.760927961147086, -np.inf, -16.777184906670442, -np.inf, -np.inf,
+                -3.959870084691328, -np.inf, -np.inf, -14.199752271197298, -np.inf,
+                -np.inf, -14.434231766105754, 15.227228652021278, -np.inf,
+                -25.994456915756345, 3.540786398577171, -np.inf, 0.4301217866515683,
+                -np.inf, -np.inf, -3.0371613973032843, -3.3281947116671065,
+                12.517004924644432, -np.inf, 9.60298228965544, -np.inf,
+                -4.3105690674306825,
+            ],
+        ],
+    )
+    def test_remainder_held_below_block_total(self, row):
+        logits = np.array([row])
+        p = np.exp(logits - logits.max())
+        idx = _categorical(logits.copy(), _ConstantUniform(1.0))
+        assert idx[0] < logits.shape[1] and p[0, idx[0]] > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=_finite_or_neg_inf_rows(), u=st.floats(0.0, 1.0))
+    def test_index_has_positive_probability(self, row, u):
+        logits = np.array([row])
+        p = np.exp(logits - logits.max())
+        idx = _categorical(logits.copy(), _ConstantUniform(u))
+        assert p[0, idx[0]] > 0.0
 
 
 class TestDirichletAtomUpdate:
@@ -283,6 +353,56 @@ class TestDirichletAtomUpdate:
         assert same_law(got[:, ~occupied].ravel(), want[:, ~occupied].ravel())
         for c in np.flatnonzero(occupied):
             assert same_law(got[:, c], want[:, c])
+
+
+def _exp_gain(sampler, tau, k, coeff_pos, coeff_neg):
+    """Reference: the pair's log-likelihood gain from explicit exponentials."""
+    gain = 0.0
+    for freq, coeff in ((k, coeff_pos), (-k, coeff_neg)):
+        col = sampler.Y[:, freq + sampler.l_max]
+        mean = coeff * np.exp(-2j * np.pi * freq * tau)
+        gain += float(np.sum(np.abs(col) ** 2 - np.abs(col - mean) ** 2))
+    return gain
+
+
+class TestPhases:
+    @pytest.mark.parametrize(
+        "prior",
+        [dp_prior(20, l_max=3), smooth_prior(20, l_max=3)],
+        ids=["dp", "smooth"],
+    )
+    def test_phases_match_shift_exponentials(self, prior):
+        obs = simulate(TRUTH, raised_cosine_density(), 20, 3, seed=12)
+        rng = np.random.default_rng(19)
+        sampler = GibbsSampler(obs, prior, rng)
+        if isinstance(prior.shift_prior, DirichletPriorConfig):
+            # the initial atoms come from the prior, off the atom grid
+            atoms = sampler.shift_candidates()
+            assert not np.isin(atoms, sampler.shift_move.grid).all()
+
+        def check():
+            tau = sampler.shift_candidates()[sampler.assignments]
+            want = np.exp(2j * np.pi * np.outer(tau, sampler.ks))
+            np.testing.assert_allclose(sampler.phases, want, rtol=0.0, atol=1e-15)
+            want_s = np.sum(sampler.Y * want, axis=0)
+            got_s = sampler._suff_stats()
+            np.testing.assert_allclose(got_s, want_s, rtol=0.0, atol=1e-12)
+            for k in range(1, sampler.l_max + 1):
+                pair = rng.normal(size=2) + 1j * rng.normal(size=2)
+                want_gain = _exp_gain(sampler, tau, k, *pair)
+                got = sampler._pair_loglik_gain(k, *pair)
+                assert got == pytest.approx(want_gain, rel=0.0, abs=1e-12)
+
+        check()
+        for _ in range(3):
+            for move in (
+                sampler.update_shifts,
+                sampler.update_theta,
+                sampler.update_level,
+                sampler.update_shift_distribution,
+            ):
+                move()
+                check()
 
 
 class TestLevelMove:
