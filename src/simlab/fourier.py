@@ -170,9 +170,10 @@ def int_from_json(value, name: str) -> int:
 
 
 def complex_to_json(values) -> list:
-    """JSON form ``[[re, im], ...]`` of a complex vector."""
-    pairs = np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2)
-    return pairs.tolist()
+    """JSON form ``[[re, im], ...]`` of a complex vector; the pairs of an
+    array nest under its leading axes."""
+    arr = np.ascontiguousarray(values, dtype=complex)
+    return arr.view(float).reshape(*arr.shape, 2).tolist()
 
 
 def complex_from_json(value, name: str) -> np.ndarray:

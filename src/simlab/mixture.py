@@ -17,8 +17,9 @@ import numpy as np
 
 from .fourier import FourierSeries, h1_norm, project
 from .model import ObservationSet
-from .shifts import ShiftDistribution, sample as sample_shift
-from .special import complex_gaussian_array
+from .shifts import FourierDensity, GridDensity, ShiftDistribution
+from .shifts import sample as sample_shift
+from .special import bessel_i_scaled_orders, complex_gaussian_array
 
 __all__ = [
     "MixtureLaw",
@@ -32,13 +33,15 @@ __all__ = [
 ]
 
 _MIN_QUAD = 64
+# Largest relative change of a row's shift sum that dropping nodes may cause.
+_NODE_TOL = 1e-13
 
 
 def default_quadrature_points(theta: FourierSeries) -> int:
-    """Grid size for the shift integral: ``max(512, 64 ceil(||theta||_H1))``.
+    """Node budget of the shift integral: ``max(512, 64 ceil(||theta||_H1))``.
 
     The integrand sharpens as the shape's first-order norm grows, so the
-    resolution scales with it.
+    budget scales with it; grid laws may use fewer nodes (``_shift_nodes``).
     """
     return max(512, _MIN_QUAD * math.ceil(h1_norm(theta)))
 
@@ -54,8 +57,8 @@ class MixtureLaw:
     g : ShiftDistribution
         Mixing distribution of the random shift.
     quadrature_points : int, optional
-        Shift-grid resolution for continuous ``g``; defaults to the
-        norm-scaled rule.
+        Node budget of the shift quadrature for continuous ``g``; defaults
+        to the norm-scaled rule.  Grid laws may use a divisor of it.
     freqs : tuple of int, optional
         Active frequency subset; ``None`` means all of ``-l .. l``.
     """
@@ -115,6 +118,66 @@ def _exp_rows(z, log_density: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if np.ndim(z) <= 1 else out
 
 
+def _node_stride(law: MixtureLaw, z: np.ndarray, w: np.ndarray) -> int:
+    """Largest ``s`` dividing the budget ``K0 = w.size`` such that keeping every
+    ``s``-th node moves no row's shift sum by over ``_NODE_TOL`` (relative).
+
+    With ``K = K0 / s`` the sums differ by the K0-point DFT coefficients of
+    ``w e^E`` at the nonzero multiples of K, ``E`` a row's node exponent, whose
+    cosine at ``|k|`` has amplitude at most ``a = sum_{+-k} 2 max|z_k| |theta_k|``.
+    By Jacobi-Anger they are at most ``e^{sum a} |W| * B`` (``W`` the weights'
+    DFT, ``B`` the direct convolution of the scaled ``I_r(a)`` put at ``r|k|``);
+    Jensen bounds the sum below by ``e^{-sum a |W_k|}``; renormalizing adds
+    the weights' aliasing ``sum |W_rK|``.  Trefethen & Weideman, SIAM Rev. 2014.
+    """
+    k0, ks = w.size, law.active_freqs
+    spec = np.abs(np.fft.fft(w))
+    spec[spec < 64.0 * np.finfo(float).eps * spec[0]] = 0.0  # tabulation rounding
+    # column maxima of a Fortran copy: numpy reduces narrow C arrays slowly
+    zmax = np.asfortranarray(np.abs(z)).max(axis=0)
+    theta = np.abs(law.theta.coeffs[ks + law.theta.cutoff])
+    amp = np.bincount(np.abs(ks), 2.0 * zmax * theta)
+    freqs = np.flatnonzero(amp[1:]) + 1
+    a = amp[freqs]
+    log_gain = float(np.sum(a * (1.0 + spec[freqs % k0])))
+    # orders n >= a - 1 with e^{-a} I_{n+1} <= (a/2)^{n+1} / (n+1)! <= tail; as
+    # I_{r+1} / I_r <= a / (2r + 2) <= 1/2 above, the rest hold 2 tail a side
+    r = np.arange(1, k0 + 1)
+    lead = r * np.log(a[:, None] / 2.0) - np.cumsum(np.log(r))
+    ok = (lead <= math.log(1e-3 * _NODE_TOL / k0) - log_gain) & (r >= a[:, None])
+    # past e^600 a Bessel product that underflowed could still matter
+    if log_gain > 600.0 or not np.all(ok.any(axis=1)):
+        return 1
+    orders = np.argmax(ok, axis=1)
+    scaled = bessel_i_scaled_orders(orders.max(initial=0), a)
+    b = np.ones(1)
+    for f, n, row in zip(freqs, orders, scaled):
+        factor = np.zeros(2 * n * f + 1)
+        factor[::f] = np.concatenate([row[n:0:-1], row[: n + 1]])
+        b = np.convolve(b, factor)
+    b = np.bincount((np.arange(b.size) - b.size // 2) % k0, b, k0)
+    c = np.bincount(np.arange(2 * k0 - 1) % k0, np.convolve(spec, b), k0)
+    bound = math.exp(log_gain) * c + spec + 4e-3 * _NODE_TOL / k0 * a.size * spec.sum()
+    for k in np.flatnonzero(k0 % np.arange(1, k0) == 0) + 1:
+        if bound[k::k].sum() <= _NODE_TOL:
+            return k0 // k
+    return 1
+
+
+def _shift_nodes(law: MixtureLaw, z: np.ndarray):
+    """Shift nodes and weights for the rows ``z``: the budget's, or every
+    ``s``-th of them (:func:`_node_stride`) for a grid law whose grid the
+    budget divides, so that they still lie on grid points."""
+    k0 = law.quadrature_points or default_quadrature_points(law.theta)
+    g = law.g.to_grid() if isinstance(law.g, FourierDensity) else law.g
+    phi, w = g.nodes(k0)
+    on_grid = isinstance(g, GridDensity) and g.m % k0 == 0
+    step = _node_stride(law, z, w) if on_grid else 1
+    if step > 1:
+        phi, w = phi[::step], w[::step] / w[::step].sum()
+    return phi, w
+
+
 def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     """Log mixture density at the rows of ``z`` (shape (N, p) or (p,)).
 
@@ -125,7 +188,7 @@ def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.shape[1] != law.dim:
         raise ValueError(f"points must have dimension {law.dim}, got {z.shape[1]}")
-    phi, w = law.g.nodes(law.quadrature_points or default_quadrature_points(law.theta))
+    phi, w = _shift_nodes(law, z)
     mu, p = _means(law, phi), law.dim
     with np.errstate(divide="ignore"):  # zero-weight atoms: log w = -inf
         logw = np.log(w)

@@ -116,10 +116,8 @@ def save(obs: ObservationSet, path: str) -> None:
         "cutoff": obs.cutoff,
         "sigma": obs.sigma,
         "seed": obs.seed,
-        "curves": [complex_to_json(row) for row in obs.curves],
-        "true_shifts": None
-        if obs.true_shifts is None
-        else [float(t) for t in obs.true_shifts],
+        "curves": complex_to_json(obs.curves),
+        "true_shifts": None if obs.true_shifts is None else obs.true_shifts.tolist(),
     }
     write_atomic(path, json.dumps(doc))
 

@@ -25,7 +25,7 @@ from .distances import DistanceEstimate, mc_distance
 from .fourier import FourierSeries, h1_norm
 from .mixture import MixtureLaw
 from .shifts import Discrete, FourierDensity, ShiftDistribution, fourier_coeff
-from .special import bessel_i_scaled
+from .special import bessel_i_scaled_orders
 
 __all__ = [
     "FanoNet",
@@ -149,9 +149,9 @@ def fano_tv_certificate(
     The remaining coefficients of every net shape vanish, so they
     contribute identical Gaussian factors to every law and drop out of
     the total variation.  The net densities are band-limited, so a
-    moderate shift quadrature (256 nodes, densities tabulated on the
-    1,024-point default grid) is already exact to well below the
-    certificate gaps.
+    moderate shift quadrature (a budget of 256 nodes, densities tabulated
+    on the 1,024-point default grid, fewer nodes where the aliasing bound
+    allows) is already exact to well below the certificate gaps.
     """
     grids = [g.to_grid() for g in net.gs]
     freqs = (1, net.p)
@@ -320,7 +320,7 @@ def _radial_weight(n: int, theta1: float) -> float:
     compared.
     """
     rho = np.linspace(0.0, theta1 + 12.0, 2049)
-    scaled = np.array([bessel_i_scaled(n, 2.0 * r * theta1) for r in rho])
+    scaled = bessel_i_scaled_orders(n, 2.0 * rho * theta1)[:, n]
     integrand = rho * (2.0 * math.pi * scaled) ** 2 * np.exp(-((rho - theta1) ** 2))
     return float(np.trapezoid(integrand, rho))
 

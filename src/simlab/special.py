@@ -4,10 +4,12 @@ Modified Bessel functions of the first kind ``I_n``, the circular
 exponential integral ``A_n(a) = int_0^{2pi} e^{a cos u} cos(nu) du``,
 the standard normal CDF, and the standard complex Gaussian sampler.
 
-The Bessel evaluation uses the power series for small arguments and a
-normalized backward (Miller) recurrence for large ones; the recurrence
-works directly on the exponentially scaled values ``e^{-a} I_n(a)`` so
-no intermediate quantity can overflow.
+Every Bessel value comes from one normalized backward (Miller)
+recurrence, :func:`bessel_i_scaled_orders`, which returns the
+exponentially scaled values ``e^{-a} I_n(a)`` for all orders ``0..N`` at
+an array of arguments in a single pass.  It runs on the order ratios
+``I_k / I_{k-1}``, which lie in ``[0, 1)``, so no intermediate quantity
+can overflow; the scalar functions are thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "bessel_i_scaled_orders",
     "bessel_i",
     "bessel_i_scaled",
     "a_n",
@@ -27,28 +30,36 @@ __all__ = [
     "complex_gaussian_array",
 ]
 
-# Below this argument the raw power series converges quickly and safely;
-# above it we go through the scaled recurrence.
-_SERIES_SWITCH = 30.0
 
+def bessel_i_scaled_orders(n_max: int, a) -> np.ndarray:
+    """``e^{-a} I_n(a)`` for every order ``n = 0..n_max`` at each argument.
 
-def _series_i(n: int, a: float) -> float:
-    """Power series sum_{k>=0} (a/2)^{2k+n} / (k! (k+n)!)."""
-    half = 0.5 * a
-    try:
-        term = half**n / math.factorial(n)
-    except OverflowError:
-        return math.inf
-    if term == 0.0:
-        return 0.0
-    total = term
-    k = 1
-    while True:
-        term *= half * half / (k * (k + n))
-        total += term
-        if term < 1e-18 * total:
-            return total
-        k += 1
+    Returns an array of shape ``np.shape(a) + (n_max + 1,)``.  The ratios
+    ``rho_k = I_k / I_{k-1} = a / (2k + a rho_{k+1})`` are run down from
+    ``rho = 0`` well above ``max(n_max, a)``; their cumulative products give
+    ``I_n / I_0``, and the identity ``I_0 + 2 sum_{k>=1} I_k = e^a`` fixes
+    the scale.  Values below the double range underflow to zero.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.all(a >= 0.0):
+        raise ValueError("argument must be nonnegative")
+    flat = a.reshape(-1)
+    top = max(n_max, float(flat.max(initial=0.0)))
+    start = int(top + 2.0 * math.sqrt(top) + 40)
+    if flat.size > 1 and start * flat.size > 4e6:  # bound the work arrays
+        out = [bessel_i_scaled_orders(n_max, part) for part in np.array_split(flat, 2)]
+        return np.vstack(out).reshape(a.shape + (n_max + 1,))
+    with np.errstate(divide="ignore", over="ignore"):  # a ~ 0: every ratio is 0
+        twice_k_over_a = 2.0 * np.arange(start, 0, -1)[:, None] / flat
+    rho = np.empty_like(twice_k_over_a)
+    prev = np.zeros(flat.size)
+    for c, r in zip(twice_k_over_a, rho):
+        np.add(c, prev, out=r)
+        prev = np.reciprocal(r, out=r)
+    ratios = np.cumprod(rho[::-1], axis=0)  # I_k / I_0 for k = 1..start
+    i0 = 1.0 / (1.0 + 2.0 * ratios.sum(axis=0))
+    out = i0 * np.vstack([np.ones(flat.size), ratios[:n_max]])
+    return out.T.reshape(a.shape + (n_max + 1,))
 
 
 def bessel_i_scaled(n: int, a: float) -> float:
@@ -62,48 +73,15 @@ def bessel_i_scaled(n: int, a: float) -> float:
         Nonnegative argument.
     """
     n = abs(int(n))
-    a = float(a)
-    if a < 0:
-        raise ValueError("argument must be nonnegative")
-    if a == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if a <= _SERIES_SWITCH:
-        return _series_i(n, a) * math.exp(-a)
-
-    # Miller backward recurrence: I_{k-1} = I_{k+1} + (2k/a) I_k, seeded
-    # high above max(n, a) and normalized with the generating-function
-    # identity I_0 + 2 sum_{m>=1} I_m = e^a, i.e. scaled values sum to 1.
-    start = int(max(n, a) + 2.0 * math.sqrt(max(n, a)) + 40)
-    b_up = 0.0
-    b = 1e-300
-    norm = 0.0
-    result = b if n == start else 0.0
-    for k in range(start, 0, -1):
-        b_down = b_up + (2.0 * k / a) * b
-        norm += 2.0 * b
-        b_up, b = b, b_down
-        if k - 1 == n:
-            result = b
-        if b > 1e250:
-            b *= 1e-250
-            b_up *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
-    norm += b  # k = 0 term enters once
-    return result / norm
+    return float(bessel_i_scaled_orders(n, float(a))[n])
 
 
 def bessel_i(n: int, a: float) -> float:
     """Modified Bessel function of the first kind ``I_n(a)`` for ``a >= 0``.
 
-    Series evaluation below ``a = 30``; scaled recurrence above.  Values
-    overflow the double range for ``a`` beyond ~709 as ``I_n`` grows like
-    ``e^a``; use :func:`bessel_i_scaled` in that regime.
+    Values overflow the double range for ``a`` beyond ~709 as ``I_n`` grows
+    like ``e^a``; use :func:`bessel_i_scaled` in that regime.
     """
-    a = float(a)
-    if 0.0 < a <= _SERIES_SWITCH:
-        return _series_i(abs(int(n)), a)
-    # zero and negative arguments are handled (or rejected) by the scaled form
     return math.exp(a) * bessel_i_scaled(n, a)
 
 
@@ -121,7 +99,7 @@ def a_n_quadrature(n: int, a: float) -> float:
     """Independent composite-trapezoid evaluation of ``A_n(a)`` on 4,096
     intervals.
 
-    Exposed as an oracle for testing the series path; the integrand is
+    Exposed as an oracle for testing the recurrence; the integrand is
     1-periodic and analytic so the trapezoid rule converges geometrically.
     """
     u = np.linspace(0.0, 2.0 * np.pi, 4097)

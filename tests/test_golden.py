@@ -10,9 +10,11 @@ repository root (no names: every case; an unknown name exits non-zero)
 and say in the change why the outputs moved.  The rewrite prints one
 line per file: ``unchanged``, or ``changed`` and whether its skeleton
 (the bytes with every number masked: keys, CSV header, PASS/FAIL text)
-is identical.
+is identical; for an identical skeleton, also how many numbers moved and
+the largest relative move.
 """
 
+import math
 import os
 import re
 import sys
@@ -153,6 +155,29 @@ def describe(old: bytes | None, new: bytes | None) -> str:
     return f"changed, skeleton {'identical' if same else 'differs'}"
 
 
+def number_moves(old: bytes, new: bytes) -> tuple[int, float]:
+    """How many numbers differ between two files of identical skeleton, and
+    the largest relative move ``|new - old| / |old|`` among them."""
+    pairs = zip(NUMBER.findall(old), NUMBER.findall(new))
+    moved = [(float(a), float(b)) for a, b in pairs if a != b]
+    worst = max(
+        (abs(b - a) / abs(a) if a else (math.inf if b else 0.0) for a, b in moved),
+        default=0.0,
+    )
+    return len(moved), worst
+
+
+def test_number_moves_counts_changed_numbers():
+    old = b'{"H2": -1.5e-07, "seed": 4}\nn,eps_n\n12,0.5\n'
+    assert number_moves(old, old) == (0, 0.0)
+    count, worst = number_moves(old, old.replace(b"0.5", b"0.25"))
+    assert count == 1 and worst == 0.5
+    count, worst = number_moves(old, old.replace(b"-1.5e-07", b"-1.5000000000000002e-07"))
+    assert count == 1 and 0.0 < worst < 1e-15
+    assert number_moves(b"x 0 y 2", b"x 1 y 4") == (2, math.inf)
+    assert number_moves(b"x 0 y 2", b"x 0.0 y 2") == (1, 0.0)
+
+
 def test_skeleton_masks_numbers_only():
     text = b'{"H2": -1.5e-07, "seed": 4, "x": NaN}\nn,eps_n\n12,0.5\nPASS 3 of 4\n'
     want = b'{"H2": #, "seed": #, "x": #}\nn,eps_n\n#,#\nPASS # of #\n'
@@ -191,4 +216,9 @@ if __name__ == "__main__":
                 with open(os.path.join(target, fname), "wb") as fh:
                     fh.write(data)
             for fname in sorted(set(old) | set(files)):
-                print(f"{case}/{fname}: {describe(old.get(fname), files.get(fname))}")
+                before, after = old.get(fname), files.get(fname)
+                line = describe(before, after)
+                if line == "changed, skeleton identical":
+                    count, worst = number_moves(before, after)
+                    line += f", {count} numbers moved, largest relative move {worst:.1e}"
+                print(f"{case}/{fname}: {line}")

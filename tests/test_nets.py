@@ -22,6 +22,8 @@ from simlab.nets import (
     make_fano_net,
 )
 from simlab.shifts import (
+    FourierDensity,
+    GridDensity,
     fourier_coeff,
     raised_cosine_density,
     sobolev_radius,
@@ -273,6 +275,36 @@ class TestSeparationFunctional:
     def test_requires_positive_first_coeff(self):
         with pytest.raises(ValueError):
             g_separation(0.0, uniform_density(), uniform_density())
+
+    def test_recorded_values(self):
+        # recorded when the radial weights took one scalar Bessel call per
+        # radius; the vectorized recurrence must reproduce them to 1e-13
+        def band_limited(rng, k_max):
+            coeffs = np.zeros(2 * k_max + 1, dtype=complex)
+            coeffs[k_max] = 1.0
+            for k in range(1, k_max + 1):
+                mag = rng.uniform(0, 0.9 / (2 * k_max))
+                coeffs[k_max + k] = mag * np.exp(2j * np.pi * rng.uniform())
+                coeffs[k_max - k] = np.conj(coeffs[k_max + k])
+            return FourierDensity(coeffs)
+
+        t = np.linspace(0.0, 1.0, 1025)
+        wavy = GridDensity(1.0 + 0.4 * np.cos(6 * np.pi * t) + 0.3 * np.sin(14 * np.pi * t))
+        recorded = {
+            0.3: (0.0020183083614120113, 0.00013793963461172687, 0.005607259595750452),
+            0.8: (0.0056615418856005365, 0.00024669209816017776, 0.015797133735439305),
+            2.0: (0.005591198249892095, 0.0005001149431493405, 0.016387691828712598),
+            6.0: (0.0020933117279730742, 0.0010461402986348537, 0.0069112801854727055),
+        }
+        rng = np.random.default_rng(12)
+        for theta1, want in recorded.items():
+            g1, g2 = band_limited(rng, 4), band_limited(rng, 4)
+            got = (
+                g_separation(theta1, raised_cosine_density(256, 0.7), raised_cosine_density(256, 0.1)),
+                g_separation(theta1, g1, g2, n_max=8),
+                g_separation(theta1, wavy, raised_cosine_density(), n_max=40),
+            )
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestPerturbationProbe:

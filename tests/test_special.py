@@ -1,6 +1,8 @@
 """Special-function checks against independent quadrature oracles."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ import pytest
 from simlab.special import (
     a_n,
     a_n_quadrature,
+    a_n_scaled,
     bessel_i,
     bessel_i_scaled,
+    bessel_i_scaled_orders,
     complex_gaussian_array,
     normal_cdf,
     sample_complex_gaussian,
@@ -45,24 +49,6 @@ class TestBesselSeries:
                 oracle, rel=1e-10
             )
 
-    def test_series_recurrence_seam(self):
-        # both evaluation paths must agree where they overlap
-        from simlab.special import _series_i
-
-        for n in (0, 2, 7):
-            for a in (18.0, 25.0, 30.0):
-                series = _series_i(n, a) * math.exp(-a)
-                recurrence = bessel_i_scaled(n, a + 1e3 * 0)  # series path
-                assert series == pytest.approx(recurrence, rel=1e-12)
-            # force the recurrence by evaluating just past the switch and
-            # checking against the quadrature oracle there
-            a = 30.5
-            u = np.linspace(0.0, 2.0 * np.pi, 8193)
-            oracle = np.trapezoid(
-                np.exp(a * (np.cos(u) - 1.0)) * np.cos(n * u), u
-            ) / (2.0 * math.pi)
-            assert bessel_i_scaled(n, a) == pytest.approx(oracle, rel=1e-10)
-
     @pytest.mark.parametrize("n", [4, 9, 16])
     def test_small_argument_equivalent(self, n):
         # I_n(a) = (a/2)^n / n! (1 + O(a/n)) for a <= sqrt(n)
@@ -74,6 +60,66 @@ class TestBesselSeries:
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
             bessel_i(2, -1.0)
+
+
+# e^{-a} I_n(a) for n = 0..80, recorded from the power series (a <= 30) and
+# the scalar backward recurrence that bessel_i_scaled_orders replaced; null
+# where that series never terminated (a subnormal leading term).
+REFERENCE = os.path.join(os.path.dirname(__file__), "data", "bessel_scaled_reference.json")
+ORDER_ARGS = (0.0, 1e-8, 0.5, 2.0, 8.0, 29.9, 30.1, 200.0, 700.0, 1e4)
+
+
+class TestBesselOrders:
+    def test_matches_recorded_values(self):
+        with open(REFERENCE) as fh:
+            ref = json.load(fh)
+        assert tuple(ref["args"]) == ORDER_ARGS
+        got = bessel_i_scaled_orders(80, np.array(ORDER_ARGS))
+        assert got.shape == (len(ORDER_ARGS), 81)
+        assert np.all(np.isfinite(got))
+        checked = 0
+        for row, expected in zip(got, ref["scaled"]):
+            for value, want in zip(row, expected):
+                if want is not None and want > 1e-290:
+                    assert value == pytest.approx(want, rel=1e-13)
+                    checked += 1
+        assert checked == 680
+
+    @pytest.mark.parametrize("a", ORDER_ARGS[:-1])  # e^{1e4} overflows the oracle
+    def test_matches_quadrature(self, a):
+        # relative 1e-13 down to 1e-2; below it the oracle's own rounding,
+        # about 1e-16 of the peak, sets an absolute floor
+        got = bessel_i_scaled_orders(80, a)
+        for n in range(81):
+            oracle = a_n_quadrature(n, a) * math.exp(-a) / (2.0 * math.pi)
+            assert abs(got[n] - oracle) <= 1e-13 * max(got[n], 1e-2)
+
+    def test_array_shape_and_scalar_wrappers(self):
+        a = np.array([[0.0, 0.3, 4.0], [31.0, 90.0, 1e-8]])
+        got = bessel_i_scaled_orders(6, a)
+        assert got.shape == (2, 3, 7)
+        for idx in np.ndindex(a.shape):
+            for n in range(7):
+                scalar = bessel_i_scaled(n, a[idx])
+                assert scalar == pytest.approx(got[idx][n], rel=1e-14)
+                assert a_n_scaled(-n, a[idx]) == 2.0 * math.pi * scalar
+
+    def test_long_argument_arrays_are_split(self):
+        # 600 arguments up to 1e4 exceed the work-array bound and are halved
+        a = np.linspace(0.0, 1e4, 600)
+        got = bessel_i_scaled_orders(3, a)
+        for i in (0, 1, 299, 300, 599):
+            alone = bessel_i_scaled_orders(3, a[i : i + 1])[0]
+            assert got[i] == pytest.approx(alone, rel=1e-13)
+
+    def test_zero_argument(self):
+        got = bessel_i_scaled_orders(5, [0.0])
+        assert got.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
+
+    def test_rejects_negative_or_nan_argument(self):
+        for bad in ([1.0, -1e-300], [math.nan]):
+            with pytest.raises(ValueError):
+                bessel_i_scaled_orders(3, bad)
 
 
 class TestCircularIntegral:
