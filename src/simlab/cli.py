@@ -60,7 +60,7 @@ from .shifts import (
     shift_from_json,
     shift_to_json,
 )
-from .special import a_n, bessel_i
+from .special import bessel_i_scaled_orders
 
 __all__ = ["main"]
 
@@ -382,11 +382,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bessel_table(args) -> int:
-    rows = []
     a_values = np.arange(0.0, args.a_max + 1e-12, args.step)
-    for n in range(args.n_max + 1):
-        for a in a_values:
-            rows.append([n, float(a), bessel_i(n, float(a)), a_n(n, float(a))])
+    values = np.exp(a_values)[:, None] * bessel_i_scaled_orders(args.n_max, a_values)
+    rows = [
+        [n, float(a), float(v), 2.0 * math.pi * float(v)]
+        for n, column in enumerate(values.T)
+        for a, v in zip(a_values, column)
+    ]
     _write_csv(args.out, ["n", "a", "bessel_i", "a_n"], rows)
     _echo_run_config(args.out, args)
     return 0

@@ -126,15 +126,14 @@ def mc_distance(
         if samples - n_p > 0:
             parts.append(sample_law(q, samples - n_p, rng))
         z = np.concatenate(parts)
-        lp = log_mixture_density(p, z)
-        lq = log_mixture_density(q, z)
-        m = np.maximum(lp, lq)
-        a = np.exp(lp - m)
-        b = np.exp(lq - m)
+        # both integrands depend on the log ratio only: |p - q| / (p + q) =
+        # tanh(|d| / 2) and 2 - 4 sqrt(pq) / (p + q) = 2 - 2 / cosh(d / 2)
+        d = log_mixture_density(p, z) - log_mixture_density(q, z)
         if metric == "TV":
-            h = np.abs(a - b) / (a + b)
+            h = np.tanh(np.abs(d) / 2.0)
         else:
-            h = 2.0 - 4.0 * np.sqrt(a * b) / (a + b)
+            with np.errstate(over="ignore"):  # cosh -> inf gives h = 2
+                h = 2.0 - 2.0 / np.cosh(d / 2.0)
         if not np.all(np.isfinite(h)):
             raise NonFiniteDensityError("non-finite density ratio in TV/H2 estimate")
         value = float(np.mean(h))

@@ -35,6 +35,10 @@ __all__ = [
 _MIN_QUAD = 64
 # Largest relative change of a row's shift sum that dropping nodes may cause.
 _NODE_TOL = 1e-13
+# Exponents per block of the shift sums: 512 KB, so a block stays in L2.
+_BLOCK = 65_536
+# A row whose bound-shifted sum falls below this is redone with its maximum.
+_SUM_FLOOR = math.exp(-600.0)
 
 
 def default_quadrature_points(theta: FourierSeries) -> int:
@@ -149,16 +153,29 @@ def _node_stride(law: MixtureLaw, z: np.ndarray, w: np.ndarray) -> int:
     if log_gain > 600.0 or not np.all(ok.any(axis=1)):
         return 1
     orders = np.argmax(ok, axis=1)
-    scaled = bessel_i_scaled_orders(orders.max(initial=0), a)
-    b = np.ones(1)
-    for f, n, row in zip(freqs, orders, scaled):
-        factor = np.zeros(2 * n * f + 1)
-        factor[::f] = np.concatenate([row[n:0:-1], row[: n + 1]])
-        b = np.convolve(b, factor)
-    b = np.bincount((np.arange(b.size) - b.size // 2) % k0, b, k0)
-    c = np.bincount(np.arange(2 * k0 - 1) % k0, np.convolve(spec, b), k0)
-    bound = math.exp(log_gain) * c + spec + 4e-3 * _NODE_TOL / k0 * a.size * spec.sum()
-    for k in np.flatnonzero(k0 % np.arange(1, k0) == 0) + 1:
+
+    def aliasing(rows):  # the bound at every index, from e^{-a} I_r(a) rows
+        b = np.ones(1)
+        for f, n, row in zip(freqs, orders, rows):
+            factor = np.zeros(2 * n * f + 1)
+            factor[::f] = np.concatenate([row[n:0:-1], row[: n + 1]])
+            b = np.convolve(b, factor)
+        b = np.bincount((np.arange(b.size) - b.size // 2) % k0, b, k0)
+        c = np.bincount(np.arange(2 * k0 - 1) % k0, np.convolve(spec, b), k0)
+        return math.exp(log_gain) * c + spec + 4e-3 * _NODE_TOL / k0 * a.size * spec.sum()
+
+    # Each candidate K divides a maximal divisor D = K0 / prime, so its sum
+    # holds bound[D].  The bound grows with the rows, and e^{-a} (a/2)^r / r!
+    # <= e^{-a} I_r(a): if even these rows put every bound[D] over 2 tol (a
+    # margin for rounding), no candidate passes and the recurrence is skipped.
+    divisors = np.flatnonzero(k0 % np.arange(1, k0) == 0) + 1
+    above = (divisors[None, :] > divisors[:, None]) & (divisors % divisors[:, None] == 0)
+    maximal = divisors[~above.any(axis=1)]
+    first = [np.exp(np.append(0.0, lead[i, :n]) - a[i]) for i, n in enumerate(orders)]
+    if np.all(aliasing(first)[maximal] > 2.0 * _NODE_TOL):
+        return 1
+    bound = aliasing(bessel_i_scaled_orders(orders.max(initial=0), a))
+    for k in divisors:
         if bound[k::k].sum() <= _NODE_TOL:
             return k0 // k
     return 1
@@ -178,12 +195,33 @@ def _shift_nodes(law: MixtureLaw, z: np.ndarray):
     return phi, w
 
 
+def _row_reduce(rows: np.ndarray, b: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of each row of ``rows @ b``, computed ``_BLOCK`` exponents at
+    a time in one reused buffer; ``reduce`` may overwrite the block."""
+    step = max(1, _BLOCK // b.shape[1])
+    expo = np.empty((min(step, rows.shape[0]), b.shape[1]))
+    out = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], step):
+        part = rows[lo : lo + step]
+        out[lo : lo + part.shape[0]] = reduce(np.matmul(part, b, out=expo[: part.shape[0]]))
+    return out
+
+
+def _sum_exp(e: np.ndarray) -> np.ndarray:
+    return np.einsum("ij->i", np.exp(e, out=e))
+
+
 def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     """Log mixture density at the rows of ``z`` (shape (N, p) or (p,)).
 
-    The node exponents ``2 Re<z, mu_i> - ||mu_i||^2 + log w_i`` are one real
-    matrix product ``[Re z, Im z, 1] @ B``; the largest is factored out of
-    the shift sum and the common ``-||z||^2`` is added afterwards.
+    The node exponents ``E_i = 2 Re<z, mu_i> - ||mu_i||^2 + log w_i`` are
+    bounded above by ``s(z) = sum_k |z_k| 2 max_i |mu_ik| + max_i (log w_i -
+    ||mu_i||^2)``, and any shift at or above the largest exponent serves the
+    log-sum-exp (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021).  So
+    ``E_i - s(z)`` is one real matrix product ``[Re z, Im z, 1, -s] @ B`` and
+    each block of rows is one product, one ``exp`` and one row sum.  A row
+    whose shifted sum is below ``e^-600`` (far out, phases misaligned) is
+    redone with its exact maximum.  The common ``-||z||^2`` is added last.
     """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.shape[1] != law.dim:
@@ -191,27 +229,22 @@ def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     phi, w = _shift_nodes(law, z)
     mu, p = _means(law, phi), law.dim
     with np.errstate(divide="ignore"):  # zero-weight atoms: log w = -inf
-        logw = np.log(w)
-    mu_sq = np.sum(np.abs(mu) ** 2, axis=1)
-    b = np.vstack([2.0 * mu.real.T, 2.0 * mu.imag.T, logw - mu_sq])
-    out = np.empty(z.shape[0])
-    # chunk the (N, K) exponent matrix to bound memory
-    chunk = max(1, min(z.shape[0], int(4e6) // max(1, mu.shape[0])))
-    rows = np.empty((chunk, 2 * p + 1))
-    rows[:, 2 * p] = 1.0
-    expo = np.empty((chunk, mu.shape[0]))
-    for lo in range(0, z.shape[0], chunk):
-        zz = z[lo : lo + chunk]
-        n = zz.shape[0]
-        rows[:n, :p] = zz.real
-        rows[:n, p : 2 * p] = zz.imag
-        e = np.matmul(rows[:n], b, out=expo[:n])
-        m = np.max(e, axis=1)
-        e -= m[:, None]
-        np.exp(e, out=e)
-        sq = np.einsum("ij,ij->i", rows[:n, : 2 * p], rows[:n, : 2 * p])
-        out[lo : lo + n] = m + np.log(np.sum(e, axis=1)) - sq
-    return out - p * math.log(math.pi)
+        const = np.log(w) - np.sum(np.abs(mu) ** 2, axis=1)
+    b = np.vstack([2.0 * mu.real.T, 2.0 * mu.imag.T, const, np.ones(const.size)])
+    shift = np.einsum("ij,j->i", np.abs(z), 2.0 * np.abs(mu).max(axis=0)) + const.max()
+    rows = np.hstack([z.real, z.imag, np.ones((z.shape[0], 1)), -shift[:, None]])
+    sums = _row_reduce(rows, b, _sum_exp)
+    low = np.flatnonzero(sums < _SUM_FLOOR)
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(sums)
+    if low.size:
+        redo = rows[low]
+        redo[:, -1] = 0.0
+        top = _row_reduce(redo, b, lambda e: np.max(e, axis=1))
+        redo[:, -1] = -top
+        out[low] = top + np.log(_row_reduce(redo, b, _sum_exp))
+    sq = np.einsum("ij,ij->i", rows[:, : 2 * p], rows[:, : 2 * p])
+    return out - sq - p * math.log(math.pi)
 
 
 def mixture_density(law: MixtureLaw, z) -> float | np.ndarray:

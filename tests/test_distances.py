@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from simlab import distances
 from simlab.distances import (
     DistanceEstimate,
+    NonFiniteDensityError,
     check_sandwich,
     e1_bound,
     e3_bound,
@@ -161,6 +163,42 @@ class TestMcDistance:
     def test_estimate_invariants(self):
         est = DistanceEstimate(0.5, 0.01, 100)
         assert est.samples == 100
+
+
+def patch_log_densities(monkeypatch, p, lp, lq):
+    """Make ``mc_distance`` see the log densities ``lp`` under ``p`` and
+    ``lq`` under every other law, whatever the sampled rows."""
+    monkeypatch.setattr(
+        distances, "log_mixture_density", lambda law, z: lp if law is p else lq
+    )
+
+
+class TestLogRatioIntegrands:
+    P = MixtureLaw(FourierSeries.from_dict({1: 1.0 + 0j}, 1), uniform_density())
+    Q = MixtureLaw(FourierSeries.zero(1), uniform_density())
+    LP = np.array([-3.0, -0.5, 2.0, -1e4, -np.inf, 7.0, -2.0, 0.0])
+    LQ = np.array([-3.5, -0.5, -1.0, 1.0, -4.0, 7.0 - 1e-9, 2000.0, -np.inf])
+
+    @pytest.mark.parametrize("metric", ["TV", "H2"])
+    def test_matches_the_density_form(self, monkeypatch, metric):
+        patch_log_densities(monkeypatch, self.P, self.LP, self.LQ)
+        est = mc_distance(self.P, self.Q, metric, self.LP.size, np.random.default_rng(1))
+        m = np.maximum(self.LP, self.LQ)
+        a, b = np.exp(self.LP - m), np.exp(self.LQ - m)
+        h = np.abs(a - b) / (a + b) if metric == "TV" else 2.0 - 4.0 * np.sqrt(a * b) / (a + b)
+        assert est.value == pytest.approx(np.mean(h), rel=1e-14)
+        assert est.std_error == pytest.approx(np.std(h, ddof=1) / math.sqrt(h.size), rel=1e-12)
+
+    @pytest.mark.parametrize("metric", ["TV", "H2"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_undefined_ratio_is_refused(self, monkeypatch, metric, bad):
+        # NaN, or both densities zero: the ratio is undefined
+        lp, lq = self.LP.copy(), self.LQ.copy()
+        lp[2] = lq[2] = bad
+        patch_log_densities(monkeypatch, self.P, lp, lq)
+        with pytest.raises(NonFiniteDensityError):
+            mc_distance(self.P, self.Q, metric, lp.size, np.random.default_rng(2))
 
 
 class TestSandwich:

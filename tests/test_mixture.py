@@ -137,6 +137,31 @@ def random_rows(rng, n, p, scale=1.0):
     return scale * (rng.normal(size=(n, p)) + 1j * rng.normal(size=(n, p)))
 
 
+BIG = FourierSeries.from_dict({1: 4.5 + 0j, 2: 2.0j}, cutoff=2)
+
+
+def misaligned_rows(rng, n, norm):
+    """Rows of norm ``norm`` on the frequencies of ``BIG`` whose phases no
+    shift aligns: where the frequency-1 term of ``Re<z, mu>`` peaks, the
+    frequency-2 term is at its minimum."""
+    alpha = rng.uniform(0.0, 2.0 * np.pi, n)
+    z = random_rows(rng, n, 5, 0.02)
+    z[:, 3] += np.exp(1j * alpha)
+    z[:, 4] -= 1j * np.exp(2j * alpha)
+    return norm * z / np.linalg.norm(z, axis=1)[:, None]
+
+
+def bound_gap(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
+    """Distance from each row's largest node exponent up to the kernel's
+    bound shift ``sum_k |z_k| 2 |theta_k| + max_i (log w_i - ||mu_i||^2)``."""
+    phi, w = law.g.nodes(law.quadrature_points or default_quadrature_points(law.theta))
+    coeffs = law.theta.coeffs[law.active_freqs + law.theta.cutoff]
+    mu = coeffs[None, :] * np.exp(-2j * np.pi * np.outer(phi, law.active_freqs))
+    const = np.log(w) - np.sum(np.abs(mu) ** 2, axis=1)
+    top = np.max(2.0 * (z @ mu.conj().T).real + const, axis=1)
+    return np.abs(z) @ (2.0 * np.abs(coeffs)) + const.max() - top
+
+
 class TestKernelOracle:
     """The fused kernel against a node-by-node log-sum-exp."""
 
@@ -155,7 +180,7 @@ class TestKernelOracle:
         assert_matches_oracle(law, z)
 
     def test_more_rows_than_one_chunk(self):
-        # 4e6 / 20000 nodes = 200 rows a chunk: two full chunks and a partial one
+        # 65,536 exponents / 20000 nodes = 3 rows a block: 150 blocks
         law = MixtureLaw(THETA, raised_cosine_density(), quadrature_points=20000)
         assert_matches_oracle(law, random_rows(np.random.default_rng(23), 450, 5))
 
@@ -172,6 +197,31 @@ class TestKernelOracle:
         law = MixtureLaw(THETA, raised_cosine_density(256, 0.5), quadrature_points=256)
         assert np.all(np.isfinite(log_mixture_density(law, z)))
         assert_matches_oracle(law, z)
+
+    @pytest.mark.parametrize("norm", [200.0, 1000.0])
+    def test_misaligned_far_rows_take_the_exact_maximum(self, norm):
+        law = MixtureLaw(BIG, raised_cosine_density(256, 0.5), quadrature_points=256)
+        z = misaligned_rows(np.random.default_rng(26), 20, norm)
+        # the bound shift sits over 600 above every node exponent, so each
+        # row's bound-shifted sum underflows past e^-600 and is redone
+        assert np.all(bound_gap(law, z) > 600.0 + math.log(256))
+        assert np.all(np.isfinite(log_mixture_density(law, z)))
+        assert_matches_oracle(law, z)
+
+    def test_rows_do_not_depend_on_their_neighbours(self):
+        # 30,000 rows x 256 nodes against its two halves: blocks start at other
+        # rows, and both halves hold rows that go through the exact maximum
+        phi, w = raised_cosine_density(1024, 0.3).nodes(256)
+        law = MixtureLaw(BIG, Discrete(phi, w))
+        rng = np.random.default_rng(27)
+        z = sample_law(law, 30_000, rng)
+        far = np.concatenate([rng.choice(15_000, 6, replace=False) + half for half in (0, 15_000)])
+        z[far] = misaligned_rows(rng, 12, 200.0)
+        assert np.all(bound_gap(law, z[far]) > 600.0 + math.log(256))
+        whole = log_mixture_density(law, z)
+        halves = [log_mixture_density(law, z[:15_000]), log_mixture_density(law, z[15_000:])]
+        assert np.all(np.isfinite(whole))
+        assert np.array_equal(whole, np.concatenate(halves))
 
 
 class TestLogLikelihood:

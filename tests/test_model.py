@@ -14,7 +14,7 @@ from scipy import stats
 from simlab.fourier import FourierSeries, project, rotate
 from simlab.model import DatasetFormatError, ObservationSet, load, save, simulate
 from simlab.shifts import Discrete, fourier_coeff, raised_cosine_density
-from simlab.special import a_n_scaled
+from simlab.special import bessel_i_scaled_orders
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "observations_small.json")
 
@@ -142,8 +142,8 @@ class TestSimulate:
         r = np.abs(obs.curves[:, 3])
         amp = abs(THETA.coeff(1))
         grid = np.linspace(0.0, 6.0, 4001)
-        scaled = np.array([a_n_scaled(0, 2.0 * g * amp) for g in grid])
-        pdf = 2.0 * grid * scaled / (2.0 * np.pi) * np.exp(-((grid - amp) ** 2))
+        scaled = bessel_i_scaled_orders(0, 2.0 * grid * amp)[:, 0]
+        pdf = 2.0 * grid * scaled * np.exp(-((grid - amp) ** 2))
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(grid) * (pdf[1:] + pdf[:-1]))])
         cdf /= cdf[-1]
         edges = np.interp(np.linspace(0.0, 1.0, 26), cdf, grid)

@@ -111,15 +111,9 @@ class TestNodeRule:
         g = GridDensity(np.tile([1.0, 1.5, 1.0, 0.5], 4).tolist() + [1.0])
         rng = np.random.default_rng(40)
         z = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
-        got = log_mixture_density(MixtureLaw(THETA, g, quadrature_points=512), z)
-        assert got.tolist() == [
-            -15.975158627221461,
-            -12.869058584514686,
-            -16.500954737070966,
-            -15.099810530971194,
-            -10.201285052956973,
-            -17.701436509052353,
-        ]
+        law = MixtureLaw(THETA, g, quadrature_points=512)
+        got = log_mixture_density(law, z)
+        assert np.array_equal(got, budget_log_density(law, z))
 
     def test_constant_integrand_needs_one_node(self):
         law = MixtureLaw(THETA, raised_cosine_density(1024, 0.0))
