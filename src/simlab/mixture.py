@@ -122,13 +122,14 @@ def _exp_rows(z, log_density: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if np.ndim(z) <= 1 else out
 
 
-def _node_stride(law: MixtureLaw, z: np.ndarray, w: np.ndarray) -> int:
+def _node_stride(law: MixtureLaw, absz: np.ndarray, w: np.ndarray) -> int:
     """Largest ``s`` dividing the budget ``K0 = w.size`` such that keeping every
     ``s``-th node moves no row's shift sum by over ``_NODE_TOL`` (relative).
 
     With ``K = K0 / s`` the sums differ by the K0-point DFT coefficients of
     ``w e^E`` at the nonzero multiples of K, ``E`` a row's node exponent, whose
-    cosine at ``|k|`` has amplitude at most ``a = sum_{+-k} 2 max|z_k| |theta_k|``.
+    cosine at ``|k|`` has amplitude at most ``a = sum_{+-k} 2 max|z_k| |theta_k|``
+    (``absz`` holds the rows' moduli ``|z|``).
     By Jacobi-Anger they are at most ``e^{sum a} |W| * B`` (``W`` the weights'
     DFT, ``B`` the direct convolution of the scaled ``I_r(a)`` put at ``r|k|``);
     Jensen bounds the sum below by ``e^{-sum a |W_k|}``; renormalizing adds
@@ -138,7 +139,7 @@ def _node_stride(law: MixtureLaw, z: np.ndarray, w: np.ndarray) -> int:
     spec = np.abs(np.fft.fft(w))
     spec[spec < 64.0 * np.finfo(float).eps * spec[0]] = 0.0  # tabulation rounding
     # column maxima of a Fortran copy: numpy reduces narrow C arrays slowly
-    zmax = np.asfortranarray(np.abs(z)).max(axis=0)
+    zmax = np.asfortranarray(absz).max(axis=0)
     theta = np.abs(law.theta.coeffs[ks + law.theta.cutoff])
     amp = np.bincount(np.abs(ks), 2.0 * zmax * theta)
     freqs = np.flatnonzero(amp[1:]) + 1
@@ -181,34 +182,51 @@ def _node_stride(law: MixtureLaw, z: np.ndarray, w: np.ndarray) -> int:
     return 1
 
 
-def _shift_nodes(law: MixtureLaw, z: np.ndarray):
-    """Shift nodes and weights for the rows ``z``: the budget's, or every
+def _shift_nodes(law: MixtureLaw, absz: np.ndarray):
+    """Shift nodes and weights for rows of moduli ``absz``: the budget's, or every
     ``s``-th of them (:func:`_node_stride`) for a grid law whose grid the
     budget divides, so that they still lie on grid points."""
     k0 = law.quadrature_points or default_quadrature_points(law.theta)
     g = law.g.to_grid() if isinstance(law.g, FourierDensity) else law.g
     phi, w = g.nodes(k0)
     on_grid = isinstance(g, GridDensity) and g.m % k0 == 0
-    step = _node_stride(law, z, w) if on_grid else 1
+    step = _node_stride(law, absz, w) if on_grid else 1
     if step > 1:
         phi, w = phi[::step], w[::step] / w[::step].sum()
     return phi, w
 
 
-def _row_reduce(rows: np.ndarray, b: np.ndarray, reduce) -> np.ndarray:
+def _row_reduce(rows: np.ndarray, b: np.ndarray, reduce, *per_row) -> np.ndarray:
     """``reduce`` of each row of ``rows @ b``, computed ``_BLOCK`` exponents at
-    a time in one reused buffer; ``reduce`` may overwrite the block."""
-    step = max(1, _BLOCK // b.shape[1])
-    expo = np.empty((min(step, rows.shape[0]), b.shape[1]))
-    out = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], step):
+    a time in one reused buffer; ``reduce`` may overwrite the block and gets
+    the block's slice of each ``per_row`` array after it.  A block holds two
+    rows or more: numpy hands a one-row product to gemv, whose last bits
+    differ from gemm's, so a lone row is computed twice over."""
+    n, k = rows.shape[0], b.shape[1]
+    step = max(2, _BLOCK // k)
+    expo = np.empty((max(2, min(step, n)), k))
+    out = np.empty(n)
+    for lo in range(0, n, step):
         part = rows[lo : lo + step]
-        out[lo : lo + part.shape[0]] = reduce(np.matmul(part, b, out=expo[: part.shape[0]]))
+        m = part.shape[0]
+        pair = part if m > 1 else np.repeat(part, 2, axis=0)
+        e = np.matmul(pair, b, out=expo[: max(m, 2)])[:m]
+        out[lo : lo + m] = reduce(e, *(a[lo : lo + m] for a in per_row))
     return out
 
 
 def _sum_exp(e: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", np.exp(e, out=e))
+
+
+def _shift_by_max(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Set the last column of ``rows``, the shift against the last row of ``b``
+    (all ones), to minus each row's exact maximum of ``rows @ b``; return the
+    maxima.  This redoes rows whose bound-shifted sum fell below ``_SUM_FLOOR``."""
+    rows[:, -1] = 0.0
+    top = _row_reduce(rows, b, lambda e: np.max(e, axis=1))
+    rows[:, -1] = -top
+    return top
 
 
 def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
@@ -226,12 +244,13 @@ def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.shape[1] != law.dim:
         raise ValueError(f"points must have dimension {law.dim}, got {z.shape[1]}")
-    phi, w = _shift_nodes(law, z)
+    absz = np.abs(z)
+    phi, w = _shift_nodes(law, absz)
     mu, p = _means(law, phi), law.dim
     with np.errstate(divide="ignore"):  # zero-weight atoms: log w = -inf
         const = np.log(w) - np.sum(np.abs(mu) ** 2, axis=1)
     b = np.vstack([2.0 * mu.real.T, 2.0 * mu.imag.T, const, np.ones(const.size)])
-    shift = np.einsum("ij,j->i", np.abs(z), 2.0 * np.abs(mu).max(axis=0)) + const.max()
+    shift = np.einsum("ij,j->i", absz, 2.0 * np.abs(mu).max(axis=0)) + const.max()
     rows = np.hstack([z.real, z.imag, np.ones((z.shape[0], 1)), -shift[:, None]])
     sums = _row_reduce(rows, b, _sum_exp)
     low = np.flatnonzero(sums < _SUM_FLOOR)
@@ -239,9 +258,7 @@ def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
         out = shift + np.log(sums)
     if low.size:
         redo = rows[low]
-        redo[:, -1] = 0.0
-        top = _row_reduce(redo, b, lambda e: np.max(e, axis=1))
-        redo[:, -1] = -top
+        top = _shift_by_max(redo, b)
         out[low] = top + np.log(_row_reduce(redo, b, _sum_exp))
     sq = np.einsum("ij,ij->i", rows[:, : 2 * p], rows[:, : 2 * p])
     return out - sq - p * math.log(math.pi)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import FourierSeries, project, rotate
-from .mixture import MixtureLaw, log_likelihood
+from .mixture import _SUM_FLOOR, MixtureLaw, _row_reduce, _shift_by_max, log_likelihood
 from .model import ObservationSet, simulate
 from .distances import mc_distance
 from .priors import (
@@ -208,11 +208,11 @@ class _DirichletShifts:
     def candidates(self) -> np.ndarray:
         return self.atoms
 
-    def logits(self, b: np.ndarray) -> np.ndarray:
-        logw = np.log(np.maximum(self.stick_w, 1e-300))
-        return _real_part_logits(b, self.basis, logw)
+    def log_weights(self) -> np.ndarray:
+        return np.log(np.maximum(self.stick_w, 1e-300))
 
     def update(self, assignments, y, theta, rng):
+        # y and theta hold the active columns only, a centred window of ks
         k = self.cfg.truncation
         counts = np.bincount(assignments, minlength=k).astype(float)
         tail = np.concatenate([np.cumsum(counts[::-1])[::-1][1:], [0.0]])
@@ -221,15 +221,14 @@ class _DirichletShifts:
         # atom locations: categorical on the grid, conjugate to the
         # per-cluster sums of rotated observations; an empty cluster's sum
         # is zero, so its atom comes from the base CDF
-        cluster_sums = np.zeros((k, y.shape[1]), dtype=complex)
-        np.add.at(cluster_sums, assignments, y)
+        cluster_sums = _cluster_sums(assignments, y, k)
         occupied = counts > 0
         idx = np.empty(k, dtype=int)
         u = rng.random(k - int(occupied.sum()))
         idx[~occupied] = np.searchsorted(self.base_cdf, u, side="right")
         b = cluster_sums[occupied] * np.conj(theta)
-        logits = _real_part_logits(b, self.grid_basis, self.log_base)
-        idx[occupied] = _categorical(logits, rng)
+        rows, factor = _logit_factors(b, self.grid_basis, self.log_base)
+        idx[occupied] = _categorical_product(rows, factor, rng)
         self.atoms, self.basis = self.grid[idx], self.grid_basis[:, idx]
 
     def law(self) -> Discrete:
@@ -254,9 +253,8 @@ class _SmoothShifts:
     def candidates(self) -> np.ndarray:
         return self.grid
 
-    def logits(self, b: np.ndarray) -> np.ndarray:
-        logw = self.w_process[:-1] - _log_trapz_exp(self.w_process)
-        return _real_part_logits(b, self.basis, logw)
+    def log_weights(self) -> np.ndarray:
+        return self.w_process[:-1] - _log_trapz_exp(self.w_process)
 
     def update(self, assignments, y, theta, rng):
         self.pcn_proposed += 1
@@ -289,7 +287,8 @@ class GibbsSampler:
     """Data-augmented Gibbs sampler over (level, shape, shifts, mixing law).
 
     The shift prior's part of the chain (candidate shifts and their
-    basis, the logits, the mixing-law refresh and the current law) is one
+    basis, their log weights, the mixing-law refresh given the active
+    columns of the curves and shape, and the current law) is one
     move object, ``_DirichletShifts`` or ``_SmoothShifts``, chosen by the
     prior's config class.  All conditional updates are exact given the
     shift grid and truncation.
@@ -311,9 +310,8 @@ class GibbsSampler:
 
         self.level = 1
         self.theta = np.zeros(self.p, dtype=complex)
-        active = np.abs(self.ks) <= self.level
-        self.theta[active] = math.sqrt(self.xi2) * complex_gaussian_array(
-            rng, int(active.sum())
+        self.theta[self.active] = math.sqrt(self.xi2) * complex_gaussian_array(
+            rng, 2 * self.level + 1
         )
         move = _SHIFT_MOVES[type(prior.shift_prior)]
         self.shift_move = move(prior.shift_prior, self.ks, rng)
@@ -324,17 +322,28 @@ class GibbsSampler:
     pcn_accepted = property(lambda self: self.shift_move.pcn_accepted)
     pcn_proposed = property(lambda self: self.shift_move.pcn_proposed)
 
+    @property
+    def active(self) -> slice:
+        """The columns of ``ks`` with ``|k| <= level``; theta is zero elsewhere."""
+        return slice(self.l_max - self.level, self.l_max + self.level + 1)
+
     # -- shift update -------------------------------------------------
 
     def shift_candidates(self) -> np.ndarray:
         return self.shift_move.candidates()
 
+    def _shift_factors(self):
+        b = self.Y[:, self.active] * np.conj(self.theta[self.active])
+        return _logit_factors(b, self.shift_move.basis, self.shift_move.log_weights())
+
     def shift_log_weights(self) -> np.ndarray:
         """Unnormalized log posterior of each curve's shift over candidates."""
-        return self.shift_move.logits(self.Y * np.conj(self.theta))
+        rows, factor = self._shift_factors()
+        rows[:, -1] = 0.0
+        return rows @ factor
 
     def update_shifts(self):
-        self.assignments = _categorical(self.shift_log_weights(), self.rng)
+        self.assignments = _categorical_product(*self._shift_factors(), self.rng)
 
     @property
     def phases(self) -> np.ndarray:
@@ -362,10 +371,9 @@ class GibbsSampler:
 
     def update_theta(self):
         s_stat = self._suff_stats()
-        active = np.abs(self.ks) <= self.level
-        draws = self.conjugate_refresh(s_stat[active], self.n, self.xi2, self.rng)
+        draws = self.conjugate_refresh(s_stat[self.active], self.n, self.xi2, self.rng)
         self.theta = np.zeros(self.p, dtype=complex)
-        self.theta[active] = draws
+        self.theta[self.active] = draws
 
     # -- activation level ---------------------------------------------
 
@@ -417,7 +425,8 @@ class GibbsSampler:
     # -- mixing law ----------------------------------------------------
 
     def update_shift_distribution(self):
-        self.shift_move.update(self.assignments, self.Y, self.theta, self.rng)
+        a = self.active
+        self.shift_move.update(self.assignments, self.Y[:, a], self.theta[a], self.rng)
 
     # -- driver ---------------------------------------------------------
 
@@ -425,8 +434,7 @@ class GibbsSampler:
         return self.shift_move.law()
 
     def current_theta(self) -> FourierSeries:
-        window = self.theta[self.l_max - self.level : self.l_max + self.level + 1]
-        return FourierSeries(self.level, window.copy())
+        return FourierSeries(self.level, self.theta[self.active].copy())
 
     def sweep(self):
         self.update_shifts()
@@ -453,36 +461,103 @@ class GibbsSampler:
         return PosteriorEnsemble(samples, diag)
 
 
+def _cluster_sums(assignments: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Sum of the rows of ``y`` in each of ``k`` clusters: one ``bincount`` per
+    real column, adding in input order as ``np.add.at`` does, so the same bits."""
+    cols = [np.bincount(assignments, col, k) for col in y.view(float).T]
+    return np.column_stack(cols).view(complex)
+
+
 def _fourier_basis(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The ``(2p, len(x))`` real basis ``[cos; sin](2 pi k x)`` over ``ks``."""
     arg = 2.0 * np.pi * np.outer(ks, x)
     return np.concatenate([np.cos(arg), np.sin(arg)])
 
 
-def _real_part_logits(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray):
-    """``log_w + 2 Re(b e^{2 pi i k x})``: ``[2 Re b, -2 Im b]`` @ basis."""
-    out = np.concatenate([2.0 * b.real, -2.0 * b.imag], axis=1) @ basis
-    out += log_w
-    return out
+def _logit_factors(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray):
+    """``rows`` and ``factor`` with ``rows @ factor`` each row's shift logits
+    less a bound on them.
+
+    ``b`` holds a centred window of the columns of ``y conj(theta)`` (the
+    active frequencies), ``basis`` is ``[cos; sin](2 pi k x)`` over all of
+    them.  The logit of candidate ``x_j`` is ``log w_j + 2 Re sum_k b_k
+    e^{2 pi i k x_j}``, at most ``s = 2 sum_k |b_k| + max_j log w_j``, so
+    ``rows = [2 Re b, -2 Im b, 1, -s]`` and ``factor = [cos; sin; log w; 1]``
+    at the window's rows of the basis."""
+    p, width = basis.shape[0] // 2, b.shape[1]
+    lo = (p - width) // 2
+    factor = np.vstack(
+        [basis[lo : lo + width], basis[p + lo : p + lo + width], log_w, np.ones_like(log_w)]
+    )
+    s = 2.0 * np.abs(b).sum(axis=1) + log_w.max()
+    rows = np.hstack([2.0 * b.real, -2.0 * b.imag, np.ones((b.shape[0], 1)), -s[:, None]])
+    return rows, factor
+
+
+def _categorical_product(rows: np.ndarray, factor: np.ndarray, rng) -> np.ndarray:
+    """:func:`_categorical` of the logits ``rows @ factor`` (the last column of
+    ``rows`` a shift against the last row of ``factor``, all ones), without
+    forming them: one uniform per row is drawn first, then each block of
+    ``mixture._row_reduce`` is one product, one in-place ``exp`` and the
+    two-level search.  A row whose total is below ``e^-600`` (the shift far
+    above its largest logit) is redone with its exact maximum and the same
+    uniform."""
+    n = rows.shape[0]
+    u, idx = rng.random(n), np.empty(n, dtype=int)
+    total = _row_reduce(rows, factor, _exp_search, u, idx)
+    low = np.flatnonzero(total < _SUM_FLOOR)
+    if low.size:
+        redo, again = rows[low], np.empty(low.size, dtype=int)
+        _shift_by_max(redo, factor)
+        _row_reduce(redo, factor, _exp_search, u[low], again)
+        idx[low] = again
+    return idx
+
+
+def _exp_search(e: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return _inverse_cdf(np.exp(e, out=e), u, out)
 
 
 def _categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One index per row with probability proportional to ``exp(logits)``
-    (overwritten), by a two-level inverse CDF: one uniform scaled by the row
-    total picks a block of ``isqrt(k)`` entries and its remainder an entry
-    in it; each is held below its total, so no zero-probability index."""
-    rows, k = logits.shape
+    (overwritten), by :func:`_inverse_cdf` with one uniform per row."""
     logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
+    out = np.empty(logits.shape[0], dtype=int)
+    _inverse_cdf(np.exp(logits, out=logits), rng.random(logits.shape[0]), out)
+    return out
+
+
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write to ``out`` one index per row of the nonnegative ``weights`` for
+    its uniform ``u``, by a two-level inverse CDF, and return the row totals.
+
+    ``u`` scaled by the row total picks a block of ``isqrt(k)`` entries and
+    its remainder an entry in it; each is held below its total, so no
+    zero-probability index.  When ``isqrt(k)`` divides ``k`` the block sums
+    are one ``einsum`` and the chosen blocks one gather over a reshape; else
+    ``np.add.reduceat`` and a gather padded with zeros past the last entry."""
+    rows, k = weights.shape
     width, r = math.isqrt(k), np.arange(rows)
-    block_cdf = np.add.reduceat(logits, np.arange(0, k, width), axis=1).cumsum(axis=1)
-    u = rng.random(rows) * block_cdf[:, -1]
-    block = _search(block_cdf, u)
-    u -= np.where(block > 0, block_cdf[r, block - 1], 0.0)
-    cols = block[:, None] * width + np.arange(width)
-    inside = logits[r[:, None], np.minimum(cols, k - 1)]
-    inside[cols >= k] = 0.0  # past the end of a partial last block
-    return block * width + _search(np.cumsum(inside, axis=1, out=inside), u)
+    starts = np.arange(0, k, width)
+    cdf = np.zeros((rows, starts.size + 1))  # cumulative block sums after a 0
+    if k % width:
+        sums = np.add.reduceat(weights, starts, axis=1)
+    else:
+        sums = np.einsum("ijk->ij", weights.reshape(rows, k // width, width))
+    np.cumsum(sums, axis=1, out=cdf[:, 1:])
+    total = cdf[:, -1]
+    u = u * total
+    # a zero total (a bound-shifted row to be redone) would count every block
+    block = np.minimum(_search(cdf[:, 1:], u), starts.size - 1)
+    u -= cdf[r, block]
+    if k % width:
+        cols = starts[block, None] + np.arange(width)
+        inside = weights[r[:, None], np.minimum(cols, k - 1)]
+        inside[cols >= k] = 0.0  # past the end of a partial last block
+    else:
+        inside = weights.reshape(rows, k // width, width)[r, block]
+    out[:] = starts[block] + _search(np.cumsum(inside, axis=1, out=inside), u)
+    return total
 
 
 def _search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

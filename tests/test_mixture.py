@@ -224,6 +224,21 @@ class TestKernelOracle:
         assert np.array_equal(whole, np.concatenate(halves))
 
 
+    def test_one_row_calls_match_the_batch(self):
+        # 384 nodes: the node rule is off, every row takes all of them, and
+        # a block holds 170 rows; lone rows (a one-row call, a last block of
+        # one) are still computed by the matrix-matrix product
+        law = MixtureLaw(THETA, raised_cosine_density(), quadrature_points=384)
+        z = random_rows(np.random.default_rng(28), 200, 5)
+        whole = log_mixture_density(law, z)
+        assert np.array_equal(whole, [log_mixture_density(law, row)[0] for row in z])
+        assert np.array_equal(whole[:171], log_mixture_density(law, z[:171]))
+        other = MixtureLaw(BIG, uniform_density(), quadrature_points=384)
+        base = log_mixture_density(other, z)
+        ratios = [girsanov_log_ratio(law, other, row) for row in z]
+        assert np.array_equal(ratios, whole - base)
+
+
 class TestLogLikelihood:
     def test_empty_observation_set(self):
         obs = ObservationSet(2, 1.0, np.zeros((0, 5), dtype=complex))

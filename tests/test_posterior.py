@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -21,6 +21,10 @@ from simlab.posterior import (
     importance_posterior,
     shift_measure,
     _categorical,
+    _categorical_product,
+    _cluster_sums,
+    _fourier_basis,
+    _logit_factors,
 )
 from simlab.priors import DirichletPriorConfig, SievePriorConfig, SmoothPriorConfig
 from simlab.shifts import (
@@ -203,6 +207,20 @@ class _ConstantUniform:
         return np.full(size, self.value)
 
 
+class _Recording:
+    """Generator wrapper that keeps every array of uniforms it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.uniforms = rng, []
+
+    def beta(self, a, b):
+        return self.rng.beta(a, b)
+
+    def random(self, size=None):
+        self.uniforms.append(self.rng.random(size))
+        return self.uniforms[-1]
+
+
 def _single_level(logits, u):
     """Reference draw: the count of cumulative masses ``<= u``, with ``u``
     one uniform per row scaled by the row total and held below it."""
@@ -309,6 +327,127 @@ class TestCategorical:
         p = np.exp(logits - logits.max())
         idx = _categorical(logits.copy(), _ConstantUniform(u))
         assert p[0, idx[0]] > 0.0
+
+
+def _explicit_logits(b, ks, x, log_w):
+    """Reference shift logits ``log w_j + 2 Re sum_k b_k e^{2 pi i k x_j}`` from
+    complex exponentials, over the frequencies ``ks`` of the columns of ``b``."""
+    return log_w + 2.0 * (b @ np.exp(2j * np.pi * np.outer(ks, x))).real
+
+
+def _draw_case(rng, n, m, level, scale=1.0, l_max=2):
+    """Rows ``b`` at a level's active frequencies, the ``l_max`` basis on the
+    open ``m``-grid, and log weights."""
+    ks = np.arange(-l_max, l_max + 1)
+    x = np.arange(m) / m
+    b = scale * (rng.normal(size=(n, 2 * level + 1)) + 1j * rng.normal(size=(n, 2 * level + 1)))
+    return b, ks[l_max - level : l_max + level + 1], x, _fourier_basis(ks, x), rng.normal(size=m)
+
+
+class TestCategoricalProduct:
+    """The one-pass shift draw against ``_categorical`` on explicit logits."""
+
+    # the smooth prior's 1,024 grid (n = 400), the Dirichlet prior's 100
+    # atoms (n = 800) and its atom draw (8 clusters), and a 1,000 grid,
+    # which isqrt(1000) = 31 does not divide
+    @pytest.mark.parametrize("n, m", [(400, 1024), (800, 100), (8, 1024), (300, 1000)])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_same_index_as_categorical(self, n, m, level):
+        rng = np.random.default_rng(1000 * level + m)
+        b, ks, x, basis, log_w = _draw_case(rng, n, m, level)
+        rows, factor = _logit_factors(b, basis, log_w)
+        np.testing.assert_allclose(
+            rows[:, :-1] @ factor[:-1], _explicit_logits(b, ks, x, log_w), rtol=0, atol=1e-12
+        )
+        got = _categorical_product(rows, factor, np.random.default_rng(7))
+        want = _categorical(_explicit_logits(b, ks, x, log_w), np.random.default_rng(7))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("modulus", [200.0, 1000.0])
+    def test_misaligned_far_rows_take_the_exact_maximum(self, modulus):
+        # b_{+-1} = A e^{+-i alpha}, b_{+-2} = -A e^{+-2i alpha}: the row's
+        # logits are 4A (cos t - cos 2t) + log w, at most 4.5 A, while the
+        # bound is 8 A; ordinary rows sit between them
+        rng = np.random.default_rng(int(modulus))
+        b, ks, x, basis, log_w = _draw_case(rng, 60, 1024, 2)
+        far = np.arange(0, 60, 3)
+        alpha = rng.uniform(0.0, 2.0 * np.pi, far.size)[:, None]
+        b[far] = modulus * np.exp(1j * alpha * np.array([-2, -1, 0, 1, 2]))
+        b[far] *= np.array([-1.0, 1.0, 0.0, 1.0, -1.0])
+        logits = _explicit_logits(b, ks, x, log_w)
+        rows, factor = _logit_factors(b, basis, log_w)
+        gap = -rows[far, -1] - logits[far].max(axis=1)
+        assert np.all(gap > 600.0 + math.log(1024))
+        got = _categorical_product(rows, factor, np.random.default_rng(8))
+        np.testing.assert_array_equal(got, _categorical(logits, np.random.default_rng(8)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 6),
+        m=st.integers(1, 80),
+        level=st.integers(0, 2),
+    )
+    def test_index_has_positive_probability(self, data, n, m, level):
+        width = 2 * level + 1
+        part = st.floats(-300.0, 300.0)
+        re, im = (np.array(data.draw(st.lists(part, min_size=n * width, max_size=n * width)))
+                  for _ in range(2))
+        b = (re + 1j * im).reshape(n, width)
+        entry = st.one_of(st.floats(-700.0, 700.0), st.just(-np.inf))
+        log_w = np.array(data.draw(st.lists(entry, min_size=m, max_size=m)))
+        assume(np.isfinite(log_w).any())
+        u = data.draw(st.floats(0.0, 1.0))
+        ks = np.arange(-2, 3)
+        x = np.arange(m) / m
+        idx = _categorical_product(*_logit_factors(b, _fourier_basis(ks, x), log_w),
+                                   _ConstantUniform(u))
+        logits = _explicit_logits(b, ks[2 - level : 3 + level], x, log_w)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert np.all(p[np.arange(n), idx] > 0.0)
+
+    @pytest.mark.parametrize("prior", [dp_prior(40, l_max=4), smooth_prior(40, l_max=4)],
+                             ids=["dp", "smooth"])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_sampler_draws_on_the_active_window(self, prior, level):
+        # theta is zero beyond the level: the draw over its active columns
+        # is the draw over every column
+        obs = simulate(TRUTH, raised_cosine_density(), 40, 4, seed=14)
+        sampler = GibbsSampler(obs, prior, np.random.default_rng(15))
+        sampler.level = level
+        sampler.theta = np.where(np.abs(sampler.ks) <= level, 0.8 + 0.3j * sampler.ks, 0.0)
+        move = sampler.shift_move
+        want = _explicit_logits(sampler.Y * np.conj(sampler.theta), sampler.ks,
+                                move.candidates(), move.log_weights())
+        np.testing.assert_allclose(sampler.shift_log_weights(), want, rtol=0, atol=1e-12)
+        state = np.random.default_rng(16)
+        sampler.rng = np.random.default_rng(16)
+        sampler.update_shifts()
+        np.testing.assert_array_equal(sampler.assignments, _categorical(want, state))
+
+    def test_one_cluster_atom_draw(self):
+        # one occupied cluster makes the atom draw a one-row product
+        obs = simulate(TRUTH, raised_cosine_density(), 6, 2, seed=31)
+        sampler = GibbsSampler(obs, dp_prior(6), np.random.default_rng(32))
+        move = sampler.shift_move
+        theta = project(TRUTH, sampler.l_max).coeffs
+        rng = _Recording(np.random.default_rng(33))
+        move.update(np.full(6, 3), sampler.Y, theta, rng)
+        b = sampler.Y.sum(axis=0, keepdims=True) * np.conj(theta)
+        logits = _explicit_logits(b, sampler.ks, move.grid, move.log_base)
+        (u,) = rng.uniforms[-1]  # the occupied cluster's uniform, drawn last
+        assert move.atoms[3] == move.grid[_categorical(logits, _ConstantUniform(u))[0]]
+
+    def test_cluster_sums_match_add_at(self):
+        rng = np.random.default_rng(17)
+        y = rng.normal(size=(800, 9)) + 1j * rng.normal(size=(800, 9))
+        assignments = rng.integers(0, 100, 800)
+        want = np.zeros((100, 9), dtype=complex)
+        np.add.at(want, assignments, y)
+        assert np.array_equal(_cluster_sums(assignments, y, 100), want)
+        # the sampler passes a column window of its curves
+        np.add.at(want := np.zeros((100, 5), dtype=complex), assignments, y[:, 2:7])
+        assert np.array_equal(_cluster_sums(assignments, y[:, 2:7], 100), want)
 
 
 class TestDirichletAtomUpdate:
