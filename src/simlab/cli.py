@@ -70,7 +70,7 @@ class ValidationError(ValueError):
 
 
 def _write_json(path: str, obj) -> None:
-    write_atomic(path, json.dumps(obj, indent=1, sort_keys=True))
+    write_atomic(path, json.dumps(obj, sort_keys=True))
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -189,7 +189,6 @@ def _cmd_simulate(args) -> int:
     g = shift_from_json(_load_json(args.g))
     obs = simulate(theta, g, args.n, args.cutoff, sigma=args.sigma, seed=args.seed)
     save_obs(obs, args.out)
-    _echo_run_config(args.out, args)
     return 0
 
 
@@ -207,7 +206,6 @@ def _cmd_prior_sample(args) -> int:
     for i in range(args.count):
         path = os.path.join(args.out, f"draw_{i:04d}.json")
         _write_json(path, _PRIOR_SAMPLERS[args.kind](prior, rng))
-    _echo_run_config(args.out, args)
     return 0
 
 
@@ -239,7 +237,6 @@ def _cmd_posterior(args) -> int:
             "diagnostics": ens.diagnostics,
         },
     )
-    _echo_run_config(args.out, args)
     return 0
 
 
@@ -271,7 +268,6 @@ def _cmd_contraction(args) -> int:
         "g_err",
     ]
     _write_csv(args.out, header, [[row[h] for h in header] for row in rows])
-    _echo_run_config(args.out, args)
     return 0
 
 
@@ -305,7 +301,6 @@ def _cmd_fano_net(args) -> int:
              "matched_below_mismatched"],
             rows,
         )
-    _echo_run_config(args.out, args)
     return 0
 
 
@@ -377,7 +372,6 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = distance_verification_rows(args.instances, args.samples, rng)
     _write_csv(args.out, ["check", "value", "bound", "std_error", "pass"], rows)
-    _echo_run_config(args.out, args)
     return 0 if all(r[4] for r in rows) else 2
 
 
@@ -390,7 +384,6 @@ def _cmd_bessel_table(args) -> int:
         for a, v in zip(a_values, column)
     ]
     _write_csv(args.out, ["n", "a", "bessel_i", "a_n"], rows)
-    _echo_run_config(args.out, args)
     return 0
 
 
@@ -497,7 +490,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        _echo_run_config(args.out, args)
+        return code
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

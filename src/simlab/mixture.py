@@ -215,18 +215,30 @@ def _row_reduce(rows: np.ndarray, b: np.ndarray, reduce, *per_row) -> np.ndarray
     return out
 
 
-def _sum_exp(e: np.ndarray) -> np.ndarray:
-    return np.einsum("ij->i", np.exp(e, out=e))
+def _bounded_reduce(rows: np.ndarray, b: np.ndarray, reduce, *per_row):
+    """``reduce`` of each row of ``exp(rows @ b)``, with the shifts: ``rows``
+    are laid out as ``[..., 1, -s]``, the last column the row's shift ``s``
+    against the last row of ``b`` (all ones), ``s`` at or above the row's
+    largest exponent.  A row whose total falls below ``_SUM_FLOOR`` (``s``
+    far above that maximum) is redone with its exact maximum as the shift;
+    the redo rewrites the row's entries of each ``per_row`` array in place.
+    Returns the totals and each row's shift."""
 
+    def reduce_exp(e, *parts):
+        return reduce(np.exp(e, out=e), *parts)
 
-def _shift_by_max(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Set the last column of ``rows``, the shift against the last row of ``b``
-    (all ones), to minus each row's exact maximum of ``rows @ b``; return the
-    maxima.  This redoes rows whose bound-shifted sum fell below ``_SUM_FLOOR``."""
-    rows[:, -1] = 0.0
-    top = _row_reduce(rows, b, lambda e: np.max(e, axis=1))
-    rows[:, -1] = -top
-    return top
+    totals = _row_reduce(rows, b, reduce_exp, *per_row)
+    shift = -rows[:, -1]
+    low = np.flatnonzero(totals < _SUM_FLOOR)
+    if low.size:
+        redo, parts = rows[low], [a[low] for a in per_row]
+        redo[:, -1] = 0.0
+        shift[low] = _row_reduce(redo, b, lambda e: np.max(e, axis=1))
+        redo[:, -1] = -shift[low]
+        totals[low] = _row_reduce(redo, b, reduce_exp, *parts)
+        for a, part in zip(per_row, parts):
+            a[low] = part
+    return totals, shift
 
 
 def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
@@ -252,14 +264,9 @@ def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     b = np.vstack([2.0 * mu.real.T, 2.0 * mu.imag.T, const, np.ones(const.size)])
     shift = np.einsum("ij,j->i", absz, 2.0 * np.abs(mu).max(axis=0)) + const.max()
     rows = np.hstack([z.real, z.imag, np.ones((z.shape[0], 1)), -shift[:, None]])
-    sums = _row_reduce(rows, b, _sum_exp)
-    low = np.flatnonzero(sums < _SUM_FLOOR)
+    sums, shift = _bounded_reduce(rows, b, lambda w: np.einsum("ij->i", w))
     with np.errstate(divide="ignore"):
         out = shift + np.log(sums)
-    if low.size:
-        redo = rows[low]
-        top = _shift_by_max(redo, b)
-        out[low] = top + np.log(_row_reduce(redo, b, _sum_exp))
     sq = np.einsum("ij,ij->i", rows[:, : 2 * p], rows[:, : 2 * p])
     return out - sq - p * math.log(math.pi)
 

@@ -206,14 +206,6 @@ class Bracket:
     def upper(self, z) -> float:
         return self._gauss(z, (1.0 + self.delta) ** self.alpha) * (1.0 + self.delta)
 
-    @property
-    def mass_lower(self) -> float:
-        return 1.0 / (1.0 + self.delta)
-
-    @property
-    def mass_upper(self) -> float:
-        return 1.0 + self.delta
-
 
 def bracket_hellinger(p: int, delta: float) -> float:
     """Hellinger width ``sqrt(delta^2 + 2 [1 - 2^p sqrt(1+delta) /

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import FourierSeries, project, rotate
-from .mixture import _SUM_FLOOR, MixtureLaw, _row_reduce, _shift_by_max, log_likelihood
+from .mixture import MixtureLaw, _bounded_reduce, log_likelihood
 from .model import ObservationSet, simulate
 from .distances import mc_distance
 from .priors import (
@@ -336,12 +336,6 @@ class GibbsSampler:
         b = self.Y[:, self.active] * np.conj(self.theta[self.active])
         return _logit_factors(b, self.shift_move.basis, self.shift_move.log_weights())
 
-    def shift_log_weights(self) -> np.ndarray:
-        """Unnormalized log posterior of each curve's shift over candidates."""
-        rows, factor = self._shift_factors()
-        rows[:, -1] = 0.0
-        return rows @ factor
-
     def update_shifts(self):
         self.assignments = _categorical_product(*self._shift_factors(), self.rng)
 
@@ -495,36 +489,17 @@ def _logit_factors(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray):
 
 
 def _categorical_product(rows: np.ndarray, factor: np.ndarray, rng) -> np.ndarray:
-    """:func:`_categorical` of the logits ``rows @ factor`` (the last column of
-    ``rows`` a shift against the last row of ``factor``, all ones), without
-    forming them: one uniform per row is drawn first, then each block of
-    ``mixture._row_reduce`` is one product, one in-place ``exp`` and the
-    two-level search.  A row whose total is below ``e^-600`` (the shift far
-    above its largest logit) is redone with its exact maximum and the same
+    """One index per row with probability proportional to ``exp`` of the
+    logits ``rows @ factor`` (the last column of ``rows`` a shift against the
+    last row of ``factor``, all ones), without forming them: one uniform per
+    row is drawn first, then :func:`mixture._bounded_reduce` runs the
+    two-level search of :func:`_inverse_cdf` on each block, redoing a row
+    whose total is below ``e^-600`` with its exact maximum and the same
     uniform."""
     n = rows.shape[0]
     u, idx = rng.random(n), np.empty(n, dtype=int)
-    total = _row_reduce(rows, factor, _exp_search, u, idx)
-    low = np.flatnonzero(total < _SUM_FLOOR)
-    if low.size:
-        redo, again = rows[low], np.empty(low.size, dtype=int)
-        _shift_by_max(redo, factor)
-        _row_reduce(redo, factor, _exp_search, u[low], again)
-        idx[low] = again
+    _bounded_reduce(rows, factor, _inverse_cdf, u, idx)
     return idx
-
-
-def _exp_search(e: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return _inverse_cdf(np.exp(e, out=e), u, out)
-
-
-def _categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One index per row with probability proportional to ``exp(logits)``
-    (overwritten), by :func:`_inverse_cdf` with one uniform per row."""
-    logits -= logits.max(axis=1, keepdims=True)
-    out = np.empty(logits.shape[0], dtype=int)
-    _inverse_cdf(np.exp(logits, out=logits), rng.random(logits.shape[0]), out)
-    return out
 
 
 def _inverse_cdf(weights: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -533,30 +508,24 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndar
 
     ``u`` scaled by the row total picks a block of ``isqrt(k)`` entries and
     its remainder an entry in it; each is held below its total, so no
-    zero-probability index.  When ``isqrt(k)`` divides ``k`` the block sums
-    are one ``einsum`` and the chosen blocks one gather over a reshape; else
-    ``np.add.reduceat`` and a gather padded with zeros past the last entry."""
+    zero-probability index.  Rows are zero-padded to whole blocks, so the
+    block sums are one ``einsum`` and the chosen blocks one gather over a
+    reshape."""
     rows, k = weights.shape
     width, r = math.isqrt(k), np.arange(rows)
-    starts = np.arange(0, k, width)
-    cdf = np.zeros((rows, starts.size + 1))  # cumulative block sums after a 0
-    if k % width:
-        sums = np.add.reduceat(weights, starts, axis=1)
-    else:
-        sums = np.einsum("ijk->ij", weights.reshape(rows, k // width, width))
-    np.cumsum(sums, axis=1, out=cdf[:, 1:])
+    pad = -k % width
+    if pad:  # a partial last block
+        weights = np.hstack([weights, np.zeros((rows, pad))])
+    blocks = weights.reshape(rows, -1, width)
+    cdf = np.zeros((rows, blocks.shape[1] + 1))  # cumulative block sums after a 0
+    np.cumsum(np.einsum("ijk->ij", blocks), axis=1, out=cdf[:, 1:])
     total = cdf[:, -1]
     u = u * total
     # a zero total (a bound-shifted row to be redone) would count every block
-    block = np.minimum(_search(cdf[:, 1:], u), starts.size - 1)
+    block = np.minimum(_search(cdf[:, 1:], u), blocks.shape[1] - 1)
     u -= cdf[r, block]
-    if k % width:
-        cols = starts[block, None] + np.arange(width)
-        inside = weights[r[:, None], np.minimum(cols, k - 1)]
-        inside[cols >= k] = 0.0  # past the end of a partial last block
-    else:
-        inside = weights.reshape(rows, k // width, width)[r, block]
-    out[:] = starts[block] + _search(np.cumsum(inside, axis=1, out=inside), u)
+    inside = blocks[r, block]
+    out[:] = block * width + _search(np.cumsum(inside, axis=1, out=inside), u)
     return total
 
 

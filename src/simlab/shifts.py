@@ -203,15 +203,12 @@ class FourierDensity(ShiftDistribution):
     """
 
     coeffs: np.ndarray = field(repr=False)
-    validate: bool = True
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size % 2 != 1:
             raise ValueError("coefficients must have odd length (k = -K..K)")
         object.__setattr__(self, "coeffs", c)
-        if not self.validate:
-            return
         k0 = c.size // 2
         if not abs(c[k0] - 1.0) <= _WEIGHT_TOL:
             raise ValueError("c_0 must equal 1")

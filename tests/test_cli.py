@@ -184,6 +184,19 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
+
+    def test_failing_check_exits_2_with_config(self, tmp_path, monkeypatch):
+        def one_failing_row(*args):
+            return [["tv_shape_0", 0.5, 0.1, 0.01, False]]
+
+        monkeypatch.setattr(cli, "distance_verification_rows", one_failing_row)
+        code = main(
+            ["verify", "--suite", "distances", "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 2
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert run["command"] == "verify" and run["suite"] == "distances"
 
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -11,9 +11,11 @@ and say in the change why the outputs moved.  The rewrite prints one
 line per file: ``unchanged``, or ``changed`` and whether its skeleton
 (the bytes with every number masked: keys, CSV header, PASS/FAIL text)
 is identical; for an identical skeleton, also how many numbers moved and
-the largest relative move.
+the largest relative move; for a JSON file whose skeleton differs, whether
+it parses to the same values (a change of layout only).
 """
 
+import json
 import math
 import os
 import re
@@ -167,6 +169,13 @@ def number_moves(old: bytes, new: bytes) -> tuple[int, float]:
     return len(moved), worst
 
 
+def same_values(old: bytes, new: bytes) -> bool:
+    """Whether two JSON files parse to the same values, every number to the
+    same bits: their parses re-encode to the same text."""
+    old, new = (json.dumps(json.loads(data), sort_keys=True) for data in (old, new))
+    return old == new
+
+
 def test_number_moves_counts_changed_numbers():
     old = b'{"H2": -1.5e-07, "seed": 4}\nn,eps_n\n12,0.5\n'
     assert number_moves(old, old) == (0, 0.0)
@@ -176,6 +185,14 @@ def test_number_moves_counts_changed_numbers():
     assert count == 1 and 0.0 < worst < 1e-15
     assert number_moves(b"x 0 y 2", b"x 1 y 4") == (2, math.inf)
     assert number_moves(b"x 0 y 2", b"x 0.0 y 2") == (1, 0.0)
+
+
+def test_same_values_ignores_layout_only():
+    old = b'{\n "b": [\n  1.5,\n  NaN\n ],\n "a": -0.0\n}'
+    assert same_values(old, b'{"a": -0.0, "b": [1.5, NaN]}')
+    assert not same_values(old, b'{"a": 0.0, "b": [1.5, NaN]}')
+    assert not same_values(old, b'{"a": -0.0, "b": [1.5000000000000002, NaN]}')
+    assert not same_values(b'{"a": 1}', b'{"a": 1.0}')
 
 
 def test_skeleton_masks_numbers_only():
@@ -221,4 +238,6 @@ if __name__ == "__main__":
                 if line == "changed, skeleton identical":
                     count, worst = number_moves(before, after)
                     line += f", {count} numbers moved, largest relative move {worst:.1e}"
+                elif line == "changed, skeleton differs" and fname.endswith(".json"):
+                    line += f", values {'equal' if same_values(before, after) else 'differ'}"
                 print(f"{case}/{fname}: {line}")

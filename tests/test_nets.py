@@ -169,12 +169,6 @@ class TestBracketing:
         width = bracket_hellinger(p, net[0].delta)
         assert width <= 0.1
 
-    def test_masses_bracket_unity(self):
-        rng = np.random.default_rng(6)
-        net = bracketing_net(self._theta(rng), 0.2)
-        for cell in net[:5]:
-            assert cell.mass_lower <= 1.0 <= cell.mass_upper
-
     def test_degenerate_orbit(self):
         dc_only = FourierSeries.from_dict({0: 1.5 + 0j}, cutoff=1)
         net = bracketing_net(dc_only, 0.1)

@@ -199,9 +199,13 @@ class TestWasserstein:
             assert wasserstein1(g, h) <= 1.0
 
     def test_rejects_invalid_fourier_density(self):
-        bad = FourierDensity(np.array([0.9, 1.0, 0.9], dtype=complex), validate=False)
-        with pytest.raises(ValueError):
-            wasserstein1(bad, uniform_density())
+        # 1 + 1.2 cos(2 pi 1024 x) is 2.2 on the default 1,024-grid, where
+        # construction checks it, and -0.2 halfway between its points
+        coeffs = np.zeros(2049, dtype=complex)
+        coeffs[[0, 1024, 2048]] = 0.6, 1.0, 0.6
+        bad = FourierDensity(coeffs)
+        with pytest.raises(ValueError, match="negative"):
+            tv_density(bad, uniform_density(2048))
 
 
 class TestTotalVariation:
