@@ -27,6 +27,7 @@ from .distances import (
     check_sandwich,
     e1_bound,
     e3_bound,
+    hellinger_estimate,
     mc_distance,
     tv_bound_f,
     tv_bound_g,
@@ -348,9 +349,7 @@ def distance_verification_rows(
         level = int(rng.integers(0, cutoff))
         f_l = project(project(f, level), cutoff)
         h2 = mc_distance(MixtureLaw(f, g), MixtureLaw(f_l, g), "H2", samples, rng)
-        dh = math.sqrt(max(h2.value, 0.0))
-        dh_se = h2.std_error / (2 * dh) if dh > 1e-6 else math.sqrt(h2.std_error)
-        dh_est = DistanceEstimate(dh, dh_se, samples)
+        dh_est = hellinger_estimate(h2)
         rows.append(_check_row(f"truncation_{i}", dh_est, e1_bound(f, level)))
         rows.append(_check_row(f"perturbation_{i}", dh_est, e3_bound(f, f_l)))
         report = check_sandwich(law_f, law_ft, samples, rng)
@@ -358,7 +357,7 @@ def distance_verification_rows(
             [
                 f"sandwich_{i}",
                 report.tv.value,
-                math.sqrt(max(report.h2.value, 0.0)),
+                hellinger_estimate(report.h2).value,
                 report.tv.std_error,
                 report.all_ok,
             ]
@@ -416,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=_bounded(int, 1),
             default=1,
-            help="worker count; results are identical for any value",
+            help="worker count; recorded in run.json but not yet used",
         )
         p.add_argument("--out", required=True)
 

@@ -27,6 +27,7 @@ __all__ = [
     "hellinger_point_shift",
     "mc_distance",
     "check_sandwich",
+    "hellinger_estimate",
     "SandwichReport",
     "tv_bound_f",
     "tv_bound_g",
@@ -184,13 +185,11 @@ def check_sandwich(
     tv = mc_distance(p, q, "TV", samples, rng)
     h2 = mc_distance(p, q, "H2", samples, rng)
     kl = mc_distance(p, q, "KL", samples, rng)
-    dh = math.sqrt(max(h2.value, 0.0))
-    # delta method: se(sqrt(x)) = se(x) / (2 sqrt(x)), guarded near zero
-    dh_se = h2.std_error / (2.0 * dh) if dh > 1e-6 else math.sqrt(h2.std_error)
+    dh = hellinger_estimate(h2)
     lower_ok = 0.5 * h2.value <= tv.value + N_SIGMA * math.hypot(
         0.5 * h2.std_error, tv.std_error
     )
-    upper_ok = tv.value <= dh + N_SIGMA * math.hypot(dh_se, tv.std_error)
+    upper_ok = tv.value <= dh.value + N_SIGMA * math.hypot(dh.std_error, tv.std_error)
     kl_pos = max(kl.value, 0.0)
     pinsker = math.sqrt(kl_pos / 2.0)
     pinsker_se = (
@@ -200,6 +199,14 @@ def check_sandwich(
     )
     pinsker_ok = pinsker >= tv.value - N_SIGMA * math.hypot(pinsker_se, tv.std_error)
     return SandwichReport(tv, h2, kl, lower_ok, upper_ok, pinsker_ok)
+
+
+def hellinger_estimate(h2: DistanceEstimate) -> DistanceEstimate:
+    """``d_H = sqrt(H2)`` from a squared-Hellinger estimate."""
+    dh = math.sqrt(max(h2.value, 0.0))
+    # delta method: se(sqrt(x)) = se(x) / (2 sqrt(x)), guarded near zero
+    dh_se = h2.std_error / (2.0 * dh) if dh > 1e-6 else math.sqrt(h2.std_error)
+    return DistanceEstimate(dh, dh_se, h2.samples)
 
 
 def tv_bound_f(f: FourierSeries, f_tilde: FourierSeries) -> float:

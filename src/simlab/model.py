@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import FourierSeries, complex_from_json, complex_to_json, floats_from_json
-from .fourier import int_from_json, project, rotate
-from .shifts import ShiftDistribution, sample
+from .fourier import int_from_json, project
+from .shifts import ShiftDistribution
 from .special import complex_gaussian_array
 
 __all__ = ["ObservationSet", "DatasetFormatError", "simulate", "save", "load"]
@@ -86,26 +86,27 @@ def simulate(
     """Draw ``n`` curves from the shifted-curve model.
 
     Curve ``j`` consumes an RNG substream spawned deterministically from
-    ``(seed, j)``, so simulating a prefix of the curves, or simulating
-    them in parallel, reproduces the exact same values.
+    ``(seed, j)``: one uniform for its shift, then its noise.  So simulating
+    a prefix of the curves, or simulating them in parallel, reproduces the
+    exact same values.  All shifts go through one ``g0.quantile`` call and
+    all curves through one rotation, in ``rotate``'s operation order.
     """
     if n < 1:
         raise ValueError("need at least one curve")
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     theta_l = project(theta0, cutoff)
-    children = np.random.SeedSequence(seed).spawn(n)
     p = 2 * cutoff + 1
-    curves = np.empty((n, p), dtype=complex)
-    shifts = np.empty(n)
-    for j, child in enumerate(children):
+    u, noise = np.empty(n), np.empty((n, p), dtype=complex)
+    for j, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
         rng = np.random.default_rng(child)
-        tau = sample(g0, 1, rng)[0]
-        shifts[j] = tau
-        row = rotate(theta_l, tau).coeffs
+        u[j] = rng.random()
         if sigma > 0:
-            row = row + sigma * complex_gaussian_array(rng, p)
-        curves[j] = row
+            noise[j] = complex_gaussian_array(rng, p)
+    shifts = np.asarray(g0.quantile(u), dtype=float)
+    curves = theta_l.coeffs * np.exp(-2j * np.pi * theta_l.ks * shifts[:, None])
+    if sigma > 0:
+        curves = curves + sigma * noise
     return ObservationSet(cutoff, sigma, curves, true_shifts=shifts, seed=seed)
 
 

@@ -37,9 +37,10 @@ from .priors import (
     sample_f,
     sample_smooth,
     sample_smooth_with_process,
-    stick_breaking,
+    stick_weights,
 )
-from .shifts import Discrete, ShiftDistribution, sobolev_radius, uniform_density
+from .shifts import Discrete, ShiftDistribution, categorical, sobolev_radius
+from .shifts import uniform_density
 from .special import complex_gaussian_array
 
 __all__ = [
@@ -200,10 +201,8 @@ class _DirichletShifts:
         self.basis = _fourier_basis(ks, self.atoms)
         self.stick_w = g0.weights.copy()
         base = cfg.base_density
-        on_grid = np.maximum(np.interp(self.grid, base.grid, base.values), 1e-300)
-        self.log_base = np.log(on_grid)
-        cdf = np.cumsum(on_grid)
-        self.base_cdf = cdf / cdf[-1]  # ends in exactly 1, above any uniform
+        self.base = np.maximum(np.interp(self.grid, base.grid, base.values), 1e-300)
+        self.log_base = np.log(self.base)
 
     def candidates(self) -> np.ndarray:
         return self.atoms
@@ -215,17 +214,15 @@ class _DirichletShifts:
         # y and theta hold the active columns only, a centred window of ks
         k = self.cfg.truncation
         counts = np.bincount(assignments, minlength=k).astype(float)
-        tail = np.concatenate([np.cumsum(counts[::-1])[::-1][1:], [0.0]])
-        v = rng.beta(1.0 + counts[:-1], self.cfg.total_mass + tail[:-1])
-        self.stick_w = stick_breaking(v)
+        self.stick_w = stick_weights(counts, self.cfg.total_mass, rng)
         # atom locations: categorical on the grid, conjugate to the
         # per-cluster sums of rotated observations; an empty cluster's sum
-        # is zero, so its atom comes from the base CDF
+        # is zero, so its atom comes from the base density
         cluster_sums = _cluster_sums(assignments, y, k)
         occupied = counts > 0
         idx = np.empty(k, dtype=int)
         u = rng.random(k - int(occupied.sum()))
-        idx[~occupied] = np.searchsorted(self.base_cdf, u, side="right")
+        idx[~occupied] = categorical(self.base, u)
         b = cluster_sums[occupied] * np.conj(theta)
         rows, factor = _logit_factors(b, self.grid_basis, self.log_base)
         idx[occupied] = _categorical_product(rows, factor, rng)
@@ -248,28 +245,27 @@ class _SmoothShifts:
         self.grid = np.arange(cfg.grid) / cfg.grid
         self.basis = _fourier_basis(ks, self.grid)
         self.g_density, self.w_process = sample_smooth_with_process(cfg, rng)
+        self.log_mass = exp_density(self.w_process)[1]  # log int_0^1 e^w
         self.pcn_accepted = self.pcn_proposed = 0
 
     def candidates(self) -> np.ndarray:
         return self.grid
 
     def log_weights(self) -> np.ndarray:
-        return self.w_process[:-1] - _log_trapz_exp(self.w_process)
+        return self.w_process[:-1] - self.log_mass
 
     def update(self, assignments, y, theta, rng):
         self.pcn_proposed += 1
         fresh = gp_draw(self.cfg, rng)
         proposal = math.sqrt(1.0 - PCN_BETA**2) * self.w_process + PCN_BETA * fresh
-        density = exp_density(proposal)
+        density, log_mass = exp_density(proposal)
         if sobolev_radius(density, self.cfg.nu) > 2.0 * self.cfg.radius:
             return
-        logz_step = _log_trapz_exp(proposal) - _log_trapz_exp(self.w_process)
         log_r = float(np.sum(proposal[assignments] - self.w_process[assignments]))
-        log_r -= assignments.size * logz_step
+        log_r -= assignments.size * (log_mass - self.log_mass)
         if math.log(rng.random()) < min(0.0, log_r):
             self.pcn_accepted += 1
-            self.w_process = proposal
-            self.g_density = density
+            self.w_process, self.g_density, self.log_mass = proposal, density, log_mass
 
     def law(self) -> ShiftDistribution:
         return self.g_density
@@ -533,14 +529,6 @@ def _search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Count of cumulative masses ``<= u`` per row, ``u`` held below the total."""
     u = np.minimum(u, np.nextafter(cdf[:, -1], 0.0))
     return np.count_nonzero(cdf <= u[:, None], axis=1)
-
-
-def _log_trapz_exp(w: np.ndarray) -> float:
-    """``log int_0^1 e^{w(t)} dt`` by trapezoid on the closed grid."""
-    m = float(np.max(w))
-    return m + math.log(
-        float(np.trapezoid(np.exp(w - m), dx=1.0 / (w.size - 1)))
-    )
 
 
 def gibbs_posterior(

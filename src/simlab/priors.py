@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import FourierSeries
-from .shifts import Discrete, GridDensity, sample as sample_shift, sobolev_radius
+from .shifts import Discrete, GridDensity, categorical, cumulative_trapezoid
+from .shifts import sample as sample_shift, sobolev_radius
 from .special import complex_gaussian_array
 
 __all__ = [
@@ -103,7 +104,7 @@ def lambda_pmf(cfg: SievePriorConfig) -> np.ndarray:
 def sample_f(cfg: SievePriorConfig, rng: np.random.Generator) -> FourierSeries:
     """One shape draw: pick a level, then i.i.d. complex Gaussians below it."""
     pmf = lambda_pmf(cfg)
-    level = int(rng.choice(cfg.l_max, p=pmf)) + 1
+    level = int(categorical(pmf, rng.random())) + 1
     coeffs = math.sqrt(cfg.xi2) * complex_gaussian_array(rng, 2 * level + 1)
     return FourierSeries(level, coeffs)
 
@@ -123,29 +124,22 @@ class DirichletPriorConfig:
         _require(truncation >= 1, "truncation", "must be at least 1", truncation)
 
 
-def stick_weights(
-    cfg: DirichletPriorConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Truncated stick-breaking weights and the residual mass.
+def stick_weights(counts: np.ndarray, total_mass: float, rng) -> np.ndarray:
+    """Truncated stick-breaking weights given ``k`` cluster counts ``n_i``.
 
-    ``V_i ~ Beta(1, m)`` i.i.d.; the last stick absorbs whatever is left
-    so the weights sum to one exactly.  The residual (what the last
-    stick absorbed) is returned for diagnostics.
+    ``V_i ~ Beta(1 + n_i, m + sum_{j>i} n_j)`` for ``i < k`` and ``w_i =
+    V_i prod_{j<i} (1 - V_j)``; the ``k``-th stick takes whatever is left,
+    so the weights sum to one.  Zero counts draw from the prior.
     """
-    w = stick_breaking(rng.beta(1.0, cfg.total_mass, size=cfg.truncation - 1))
-    return w, float(w[-1])
-
-
-def stick_breaking(v: np.ndarray) -> np.ndarray:
-    """Weights ``w_i = v_i prod_{j<i} (1 - v_j)`` from ``k - 1`` stick
-    fractions; the ``k``-th stick takes whatever is left."""
+    tail = np.cumsum(counts[::-1])[::-1][1:]
+    v = rng.beta(1.0 + counts[:-1], total_mass + tail)
     remaining = np.concatenate([[1.0], np.cumprod(1.0 - v)])
     return np.append(v * remaining[:-1], remaining[-1])
 
 
 def sample_dp(cfg: DirichletPriorConfig, rng: np.random.Generator) -> Discrete:
     """One random measure from the truncated Dirichlet process."""
-    w, _ = stick_weights(cfg, rng)
+    w = stick_weights(np.zeros(cfg.truncation), cfg.total_mass, rng)
     atoms = sample_shift(cfg.base_density, cfg.truncation, rng)
     return Discrete(atoms, w)
 
@@ -190,8 +184,7 @@ def j_operator(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need a closed uniform grid of values")
-    h = 1.0 / (v.size - 1)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (v[1:] + v[:-1]))])
+    cum = cumulative_trapezoid(v)
     t = np.linspace(0.0, 1.0, v.size)
     return cum - t * cum[-1]
 
@@ -230,11 +223,13 @@ def gp_draw(cfg: SmoothPriorConfig, rng: np.random.Generator) -> np.ndarray:
     return w
 
 
-def exp_density(w: np.ndarray) -> GridDensity:
-    """Density proportional to ``e^w`` on the closed grid (trapezoid mass 1)."""
-    scaled = np.exp(w - np.max(w))
+def exp_density(w: np.ndarray) -> tuple[GridDensity, float]:
+    """Density proportional to ``e^w`` on the closed grid (trapezoid mass 1)
+    and ``log int_0^1 e^w`` by the same trapezoid."""
+    top = np.max(w)
+    scaled = np.exp(w - top)
     mass = np.trapezoid(scaled, dx=1.0 / (scaled.size - 1))
-    return GridDensity(scaled / mass)
+    return GridDensity(scaled / mass), float(top) + math.log(mass)
 
 
 def sample_smooth_with_process(
@@ -247,7 +242,7 @@ def sample_smooth_with_process(
     """
     for attempt in range(cfg.max_rejections + 1):
         w = gp_draw(cfg, rng)
-        density = exp_density(w)
+        density, _ = exp_density(w)
         if sobolev_radius(density, cfg.nu) <= 2.0 * cfg.radius:
             return density, w
     raise RejectionLimitError(cfg.max_rejections + 1)

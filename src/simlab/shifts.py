@@ -85,13 +85,8 @@ class Discrete(ShiftDistribution):
         return phases @ self.weights
 
     def quantile(self, u) -> np.ndarray:
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(cum, np.asarray(u), side="right")
+        idx = categorical(self.weights / self.weights.sum(), np.asarray(u))
         return self.positions[np.minimum(idx, self.positions.size - 1)]
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        p = self.weights / self.weights.sum()
-        return self.positions[rng.choice(self.positions.size, size=count, p=p)]
 
     def nodes(self, k: int):
         return self.positions, self.weights
@@ -148,9 +143,7 @@ class GridDensity(ShiftDistribution):
 
     def cdf_values(self) -> np.ndarray:
         """Trapezoid CDF on the closed grid, pinned to exactly [0, 1]."""
-        h = 1.0 / self.m
-        inc = 0.5 * h * (self.values[1:] + self.values[:-1])
-        cdf = np.concatenate([[0.0], np.cumsum(inc)])
+        cdf = cumulative_trapezoid(self.values)
         cdf /= cdf[-1]
         return cdf
 
@@ -333,6 +326,19 @@ def sobolev_radius(g: ShiftDistribution, nu: float) -> float:
 def in_class(g: ShiftDistribution, nu: float, radius: float) -> bool:
     """Whether ``g`` lies in the smoothness-``nu`` ball of the given radius."""
     return sobolev_radius(g, nu) < radius
+
+
+def cumulative_trapezoid(v: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals from 0 to each node of values on a closed uniform grid."""
+    inc = 0.5 * (1.0 / (v.size - 1)) * (v[1:] + v[:-1])
+    return np.concatenate([[0.0], np.cumsum(inc)])
+
+
+def categorical(p: np.ndarray, u) -> np.ndarray:
+    """Inverse CDF of the weights ``p`` at the uniforms ``u``: numpy
+    ``Generator.choice``'s own steps, so on ``rng.random`` its very draws."""
+    cdf = np.cumsum(p)
+    return np.searchsorted(cdf / cdf[-1], u, side="right")
 
 
 def sample(g: ShiftDistribution, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,8 +13,9 @@ from scipy import stats
 
 from simlab.fourier import FourierSeries, project, rotate
 from simlab.model import DatasetFormatError, ObservationSet, load, save, simulate
-from simlab.shifts import Discrete, fourier_coeff, raised_cosine_density
-from simlab.special import bessel_i_scaled_orders
+from simlab.shifts import Discrete, FourierDensity, fourier_coeff, raised_cosine_density
+from simlab.shifts import discretize, sample
+from simlab.special import bessel_i_scaled_orders, complex_gaussian_array
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "observations_small.json")
 
@@ -26,6 +27,34 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=12,
 )
+
+
+SHIFT_LAWS = [
+    raised_cosine_density(),
+    discretize(raised_cosine_density(), 9),
+    Discrete(np.array([0.1, 0.35, 0.6, 0.8]), np.array([0.5, 0.0, 0.5, 0.0])),
+    FourierDensity(np.array([0.2 - 0.1j, 1.0, 0.2 + 0.1j])),
+]
+
+
+def _per_curve_simulate(theta, g, n, cutoff, sigma, seed):
+    """Reference: the draw loop of the former ``simulate``, one ``sample``
+    (the atoms' through ``rng.choice``) and one ``rotate`` per curve."""
+    theta_l = project(theta, cutoff)
+    curves, shifts = [], []
+    for child in np.random.SeedSequence(seed).spawn(n):
+        rng = np.random.default_rng(child)
+        if isinstance(g, Discrete):
+            p = g.weights / g.weights.sum()
+            tau = g.positions[rng.choice(g.positions.size, size=1, p=p)][0]
+        else:
+            tau = sample(g, 1, rng)[0]
+        row = rotate(theta_l, tau).coeffs
+        if sigma > 0:
+            row = row + sigma * complex_gaussian_array(rng, 2 * cutoff + 1)
+        curves.append(row)
+        shifts.append(tau)
+    return np.array(curves), np.array(shifts)
 
 
 def saved_document(n=3, cutoff=2) -> dict:
@@ -114,9 +143,20 @@ class TestSimulate:
     def test_per_curve_substreams(self):
         # simulating a prefix reproduces the same curves: substreams are
         # derived from (seed, j), not from a shared sequential stream
-        big = simulate(THETA, raised_cosine_density(), 10, 2, seed=21)
-        small = simulate(THETA, raised_cosine_density(), 4, 2, seed=21)
-        assert np.array_equal(big.curves[:4], small.curves)
+        for g in SHIFT_LAWS:
+            big = simulate(THETA, g, 10, 2, seed=21)
+            small = simulate(THETA, g, 4, 2, seed=21)
+            assert np.array_equal(big.curves[:4], small.curves)
+            assert np.array_equal(big.true_shifts[:4], small.true_shifts)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("law", range(4), ids=["grid", "atoms", "zero-weight", "fourier"])
+    def test_same_bits_as_per_curve_loop(self, law, sigma):
+        g = SHIFT_LAWS[law]
+        obs = simulate(THETA, g, 60, 3, sigma=sigma, seed=17)
+        want_curves, want_shifts = _per_curve_simulate(THETA, g, 60, 3, sigma, 17)
+        assert np.array_equal(obs.curves, want_curves)
+        assert np.array_equal(obs.true_shifts, want_shifts)
 
     def test_different_seeds_decorrelate(self):
         g = raised_cosine_density()

@@ -510,6 +510,20 @@ class TestDirichletAtomUpdate:
         for c in np.flatnonzero(occupied):
             assert same_law(got[:, c], want[:, c])
 
+    def test_empty_cluster_atoms_from_base_cdf(self):
+        # the former draw: a search of the normalized cumulative base
+        # weights, one uniform per empty cluster, drawn before the others
+        obs = simulate(TRUTH, raised_cosine_density(), 6, 2, seed=31)
+        sampler = GibbsSampler(obs, dp_prior(6), np.random.default_rng(32))
+        move, base = sampler.shift_move, sampler.shift_move.cfg.base_density
+        theta = project(TRUTH, sampler.l_max).coeffs
+        rng = _Recording(np.random.default_rng(34))
+        move.update(np.array([0, 0, 4, 4, 4, 9]), sampler.Y, theta, rng)
+        cdf = np.cumsum(np.maximum(np.interp(move.grid, base.grid, base.values), 1e-300))
+        idx = np.searchsorted(cdf / cdf[-1], rng.uniforms[-2], side="right")
+        empty = ~np.isin(np.arange(move.cfg.truncation), [0, 4, 9])
+        assert np.array_equal(move.atoms[empty], move.grid[idx])
+
 
 def _exp_gain(sampler, tau, k, coeff_pos, coeff_neg):
     """Reference: the pair's log-likelihood gain from explicit exponentials."""
@@ -651,6 +665,22 @@ class TestGibbsPosterior:
         xi2 = SievePriorConfig.adaptive(400).xi2
         expected = (1.0 / xi2) / (400 + 1.0 / xi2) * np.linalg.norm(TRUTH.coeffs)
         assert err < expected + 0.05
+
+
+class TestSmoothLogMass:
+    def test_kept_log_mass_is_the_process_log_mass(self):
+        # the log mass kept with the process is the one recomputed from it
+        obs = simulate(TRUTH, raised_cosine_density(), 12, 2, seed=7)
+        sampler = GibbsSampler(obs, smooth_prior(12), np.random.default_rng(12))
+        move = sampler.shift_move
+        for _ in range(40):
+            sampler.sweep()
+            w = move.w_process
+            top = float(np.max(w))
+            mass = float(np.trapezoid(np.exp(w - top), dx=1.0 / (w.size - 1)))
+            assert move.log_mass == top + math.log(mass)
+            assert np.array_equal(move.law().values, np.exp(w - top) / mass)
+        assert move.pcn_accepted > 0
 
 
 class TestShiftGrid:

@@ -23,6 +23,13 @@ from simlab.priors import (
     stick_weights,
 )
 from simlab.shifts import sobolev_radius, uniform_density
+from simlab.special import complex_gaussian_array
+
+
+def _stick_broken(v):
+    """Reference: the former ``stick_breaking`` of ``k - 1`` stick fractions."""
+    remaining = np.concatenate([[1.0], np.cumprod(1.0 - v)])
+    return np.append(v * remaining[:-1], remaining[-1])
 
 
 class TestLevelLaw:
@@ -88,6 +95,19 @@ class TestSieveSampler:
         assert draw.coeffs.size == 2 * draw.cutoff + 1
         assert draw.coeff(draw.cutoff + 1) == 0.0
 
+    def test_level_is_rng_choice(self):
+        # the former draw: numpy's choice over the levels, then the coefficients
+        cfg = SievePriorConfig(n=100, c=0.05, l_max=16)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        levels = set()
+        for _ in range(200):
+            draw = sample_f(cfg, a)
+            level = int(b.choice(cfg.l_max, p=lambda_pmf(cfg))) + 1
+            coeffs = math.sqrt(cfg.xi2) * complex_gaussian_array(b, 2 * level + 1)
+            assert draw.cutoff == level and np.array_equal(draw.coeffs, coeffs)
+            levels.add(level)
+        assert len(levels) >= 4
+
     def test_coefficient_variance(self):
         cfg = SievePriorConfig.adaptive(100)
         rng = np.random.default_rng(2)
@@ -133,12 +153,40 @@ class TestStickBreaking:
         assert abs(centered_sq.mean() - target) < 3.0 * se
 
     def test_residual_tail_negligible(self):
-        cfg = DirichletPriorConfig(uniform_density(128), 1.0, 200)
         rng = np.random.default_rng(6)
-        tails = np.array([stick_weights(cfg, rng)[1] for _ in range(1000)])
+        tails = np.array([stick_weights(np.zeros(200), 1.0, rng)[-1] for _ in range(1000)])
         assert np.mean(tails < 1e-3) >= 0.99
         # expected residual (m / (m+1))^K is far below 1e-6 at the default
         assert 0.5**199 < 1e-6
+
+
+    @pytest.mark.parametrize("mass, k", [(1.0, 1), (1.0, 2), (0.3, 50), (4.0, 200)])
+    def test_prior_sticks_are_beta_1_m(self, mass, k):
+        # zero counts: k - 1 i.i.d. Beta(1, m) fractions, stick-broken
+        a, b = np.random.default_rng(k), np.random.default_rng(k)
+        want = _stick_broken(b.beta(1.0, mass, size=k - 1))
+        assert np.array_equal(stick_weights(np.zeros(k), mass, a), want)
+        assert a.random() == b.random()
+
+    def test_conditional_sticks(self):
+        # the Gibbs refresh's former fractions Beta(1 + n_i, m + sum_{j>i} n_j)
+        counts = np.array([3.0, 0.0, 5.0, 1.0, 0.0, 0.0, 2.0])
+        tail = np.concatenate([np.cumsum(counts[::-1])[::-1][1:], [0.0]])
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        want = _stick_broken(b.beta(1.0 + counts[:-1], 0.7 + tail[:-1]))
+        got = stick_weights(counts, 0.7, a)
+        assert np.array_equal(got, want) and got.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_sample_dp_draws_sticks_then_atoms(self):
+        cfg = DirichletPriorConfig(uniform_density(128), 2.0, 30)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        g = sample_dp(cfg, a)
+        w = _stick_broken(b.beta(1.0, 2.0, size=29))
+        atoms = np.interp(b.uniform(0.0, 1.0, 30), cfg.base_density.cdf_values(),
+                          cfg.base_density.grid)
+        order = np.argsort(atoms, kind="stable")
+        assert np.array_equal(g.positions, atoms[order])
+        assert np.array_equal(g.weights, w[order])
 
 
 class TestIntegrationOperator:

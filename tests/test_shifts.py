@@ -12,6 +12,8 @@ from simlab.shifts import (
     FourierDensity,
     GridDensity,
     ShiftDistribution,
+    categorical,
+    cumulative_trapezoid,
     discretize,
     fourier_coeff,
     in_class,
@@ -310,6 +312,40 @@ class TestSampling:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             sample(uniform_density(), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_atom_draws_are_rng_choice(self, seed):
+        # the inverse CDF on the base class's uniforms takes numpy choice's
+        # own steps: the same draws, and the stream left at the same place
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 60))
+        w = rng.random(k) * (rng.random(k) < 0.6)
+        w[0] += 0.1
+        for g in (Discrete(rng.random(k), w / w.sum()), Discrete.point_mass(0.7)):
+            a, b = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+            p = g.weights / g.weights.sum()
+            draws = sample(g, 300, a)
+            assert np.array_equal(draws, g.positions[b.choice(g.positions.size, 300, p=p)])
+            assert a.random() == b.random()
+            assert np.all(np.isin(draws, g.positions[g.weights > 0]))
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 200])
+    def test_categorical_is_rng_choice(self, k):
+        rng = np.random.default_rng(k)
+        p = rng.random(k) * (rng.random(k) < 0.7)
+        p[-1] += 0.05
+        p /= p.sum()
+        a, b = np.random.default_rng(k + 1), np.random.default_rng(k + 1)
+        for size in (1, 5, 500):
+            assert np.array_equal(categorical(p, a.random(size)), b.choice(k, size, p=p))
+        assert categorical(p, a.random()) == b.choice(k, p=p)
+        assert a.random() == b.random()
+
+    def test_cumulative_trapezoid(self):
+        v = np.random.default_rng(3).random(65)
+        want = np.concatenate([[0.0], np.cumsum(0.5 / 64 * (v[1:] + v[:-1]))])
+        assert np.array_equal(cumulative_trapezoid(v), want)
+        assert cumulative_trapezoid(v)[-1] == pytest.approx(np.trapezoid(v, dx=1 / 64))
 
 
 class TestDiscretize:
