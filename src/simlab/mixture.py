@@ -37,6 +37,12 @@ _MIN_QUAD = 64
 _NODE_TOL = 1e-13
 # Exponents per block of the shift sums: 512 KB, so a block stays in L2.
 _BLOCK = 65_536
+# A split call's bulk: rows with each |z_k| at most this quantile of its column.
+# Fano certificate laws (30,000 rows): 0.99 still thins to 128 of 256, 0.995 not.
+_BULK_QUANTILE = 0.98
+# Least rows x nodes for the split: halving them saves 1.25 ns each against the
+# bulk bound's ~0.6 ms (measured on one thread of a 2-core x86-64 machine).
+_SPLIT_MIN = 500_000
 # A row whose bound-shifted sum falls below this is redone with its maximum.
 _SUM_FLOOR = math.exp(-600.0)
 
@@ -182,14 +188,17 @@ def _node_stride(law: MixtureLaw, absz: np.ndarray, w: np.ndarray) -> int:
     return 1
 
 
-def _shift_nodes(law: MixtureLaw, absz: np.ndarray):
-    """Shift nodes and weights for rows of moduli ``absz``: the budget's, or every
-    ``s``-th of them (:func:`_node_stride`) for a grid law whose grid the
-    budget divides, so that they still lie on grid points."""
+def _budget_nodes(law: MixtureLaw):
+    """Budget nodes and weights, and whether the law's grid lets the rule thin them."""
     k0 = law.quadrature_points or default_quadrature_points(law.theta)
     g = law.g.to_grid() if isinstance(law.g, FourierDensity) else law.g
-    phi, w = g.nodes(k0)
-    on_grid = isinstance(g, GridDensity) and g.m % k0 == 0
+    return *g.nodes(k0), isinstance(g, GridDensity) and g.m % k0 == 0
+
+
+def _shift_nodes(law: MixtureLaw, absz: np.ndarray, budget=None):
+    """Shift nodes and weights for rows of moduli ``absz``: the ``budget``'s, or
+    every ``s``-th of them (:func:`_node_stride`), still on grid points."""
+    phi, w, on_grid = budget or _budget_nodes(law)
     step = _node_stride(law, absz, w) if on_grid else 1
     if step > 1:
         phi, w = phi[::step], w[::step] / w[::step].sum()
@@ -252,12 +261,29 @@ def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     each block of rows is one product, one ``exp`` and one row sum.  A row
     whose shifted sum is below ``e^-600`` (far out, phases misaligned) is
     redone with its exact maximum.  The common ``-||z||^2`` is added last.
+    A large call on a law the node rule may thin takes every row on the nodes
+    certified for the columns' ``_BULK_QUANTILE`` of ``|z_k|``, then redoes
+    the tail rows, with a modulus above it, on the call's own nodes.
     """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.shape[1] != law.dim:
         raise ValueError(f"points must have dimension {law.dim}, got {z.shape[1]}")
-    absz = np.abs(z)
-    phi, w = _shift_nodes(law, absz)
+    absz, budget, n = np.abs(z), _budget_nodes(law), z.shape[0]
+    phi, w = _shift_nodes(law, absz, budget)
+    if budget[2] and n * phi.size >= _SPLIT_MIN:
+        kth = int(_BULK_QUANTILE * (n - 1))
+        thr = np.partition(absz, kth, axis=0)[kth]
+        bulk = _shift_nodes(law, thr[None, :], budget)
+        if bulk[0].size < phi.size:
+            out = _log_density(law, z, absz, *bulk)
+            tail = np.flatnonzero((absz > thr).any(axis=1))
+            out[tail] = _log_density(law, z[tail], absz[tail], phi, w)
+            return out
+    return _log_density(law, z, absz, phi, w)
+
+
+def _log_density(law, z, absz, phi, w) -> np.ndarray:
+    """The log density at rows ``z`` (moduli ``absz``) on nodes ``phi``, ``w``."""
     mu, p = _means(law, phi), law.dim
     with np.errstate(divide="ignore"):  # zero-weight atoms: log w = -inf
         const = np.log(w) - np.sum(np.abs(mu) ** 2, axis=1)

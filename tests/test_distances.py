@@ -160,6 +160,21 @@ class TestMcDistance:
         with pytest.raises(ValueError):
             mc_distance(law, law, "W1", 100, rng)
 
+    @pytest.mark.parametrize("metric", ["TV", "H2", "KL", "V"])
+    def test_law_against_itself_is_one_evaluation(self, monkeypatch, metric):
+        law = MixtureLaw(random_series(np.random.default_rng(11), 2), raised_cosine_density())
+        copy = MixtureLaw(law.theta, law.g, law.quadrature_points, law.freqs)
+        kernel, calls = distances.log_mixture_density, []
+        monkeypatch.setattr(
+            distances, "log_mixture_density", lambda p, z: calls.append(p) or kernel(p, z)
+        )
+        rng, rng_copy = np.random.default_rng(12), np.random.default_rng(12)
+        est = mc_distance(law, law, metric, 3_000, rng)
+        assert len(calls) == 1
+        assert est == mc_distance(law, copy, metric, 3_000, rng_copy)
+        assert est.value == 0.0 and len(calls) == 3
+        assert rng.bit_generator.state == rng_copy.bit_generator.state
+
     def test_estimate_invariants(self):
         est = DistanceEstimate(0.5, 0.01, 100)
         assert est.samples == 100

@@ -114,6 +114,15 @@ class TestFanoCertificate:
         cert = fano_tv_certificate(net, 30_000, rng)
         assert cert.matched[0].value <= 3.0 * max(cert.matched[0].std_error, 1e-6)
 
+    def test_grids_are_tabulated_once_per_net(self, monkeypatch):
+        net = make_fano_net(4, 1.0, 2.5, 1.5, 2.0)
+        grids = net.grids
+        assert net.grids is grids
+        for g, grid in zip(net.gs, grids):
+            assert np.array_equal(grid.values, g.to_grid().values)
+        monkeypatch.setattr(FourierDensity, "to_grid", lambda *a: pytest.fail("tabulated"))
+        fano_tv_certificate(net, 200, np.random.default_rng(3))
+
     def test_ordering_property(self):
         # phase compensation makes matched pairs strictly harder to
         # separate than mismatched ones; tiny sizes here, the acceptance

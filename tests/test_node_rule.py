@@ -1,13 +1,19 @@
 """The shift quadrature's node rule: grid laws use the fewest budget nodes
 that the Bessel aliasing bound certifies, and nothing else moves."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simlab import mixture
 from simlab.fourier import FourierSeries, project
 from simlab.mixture import (
+    _BULK_QUANTILE,
     MixtureLaw,
+    _log_density,
     _shift_nodes,
     default_quadrature_points,
     log_mixture_density,
@@ -26,6 +32,24 @@ def budget_log_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     phi, w = law.g.nodes(law.quadrature_points or default_quadrature_points(law.theta))
     atoms = MixtureLaw(law.theta, Discrete(phi, w), freqs=law.freqs)
     return log_mixture_density(atoms, z)
+
+
+def unsplit_log_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
+    """Log density with every row on the nodes certified for the whole call."""
+    absz = np.abs(z)
+    return _log_density(law, z, absz, *_shift_nodes(law, absz))
+
+
+def bulk_thresholds(absz: np.ndarray) -> np.ndarray:
+    kth = int(_BULK_QUANTILE * (absz.shape[0] - 1))
+    return np.sort(absz, axis=0)[kth]
+
+
+def certificate_laws():
+    net = make_fano_net(8, 1.0, 2.5, 1.5, 2.0)
+    for j in range(8):
+        for g in (net.grids[j], net.grids[0]):
+            yield MixtureLaw(net.fs[j], g, quadrature_points=256, freqs=(1, 8))
 
 
 def band_limited(rng, k_max: int) -> FourierDensity:
@@ -88,14 +112,13 @@ class TestNodeRule:
                 assert abs(w.sum() - 1.0) < 1e-14
 
     def test_certificate_laws_stay_within_their_budget(self):
-        net = make_fano_net(8, 1.0, 2.5, 1.5, 2.0)
-        grids = [g.to_grid() for g in net.gs]
         rng = np.random.default_rng(808)
-        for j in range(8):
-            for g in (grids[j], grids[0]):
-                law = MixtureLaw(net.fs[j], g, quadrature_points=256, freqs=(1, 8))
-                phi, _ = _shift_nodes(law, np.abs(sample_law(law, 30_000, rng)))
-                assert phi.size <= 256
+        for law in certificate_laws():
+            absz = np.abs(sample_law(law, 30_000, rng))
+            phi, _ = _shift_nodes(law, absz)
+            assert phi.size <= 256
+            bulk, _ = _shift_nodes(law, bulk_thresholds(absz)[None, :])
+            assert bulk.size == 128
 
     def test_rows_far_from_every_mean_keep_the_budget(self):
         rng = np.random.default_rng(25)
@@ -124,3 +147,62 @@ class TestNodeRule:
         g = Discrete(np.array([0.1, 0.4, 0.8]), np.array([0.5, 0.25, 0.25]))
         phi, w = _shift_nodes(MixtureLaw(THETA, g), np.ones((2, 5)))
         assert phi.tolist() == [0.1, 0.4, 0.8] and w.tolist() == [0.5, 0.25, 0.25]
+
+
+class TestRowClasses:
+    def test_split_rows_stay_within_tolerance_and_tail_rows_keep_their_bits(self):
+        rng = np.random.default_rng(909)
+        for law in certificate_laws():
+            z = sample_law(law, 30_000, rng)
+            got = log_mixture_density(law, z)
+            tol = 1e-13 * (1.0 + np.sum(np.abs(z) ** 2, axis=1))
+            assert np.all(np.abs(got - budget_log_density(law, z)) <= tol)
+            tail = (np.abs(z) > bulk_thresholds(np.abs(z))).any(axis=1)
+            assert 0 < tail.sum() <= 0.05 * z.shape[0]
+            assert np.array_equal(got[tail], unsplit_log_density(law, z)[tail])
+
+    def test_atomic_laws_are_not_split(self):
+        rng = np.random.default_rng(11)
+        g = Discrete(rng.uniform(size=400), rng.dirichlet(np.ones(400)))
+        law = MixtureLaw(THETA, g)
+        z = sample_law(law, 5_000, rng)
+        assert np.array_equal(log_mixture_density(law, z), unsplit_log_density(law, z))
+
+    def test_budget_not_dividing_the_grid_is_not_split(self):
+        g = GridDensity(np.tile([1.0, 1.5, 1.0, 0.5], 4).tolist() + [1.0])
+        law = MixtureLaw(THETA, g, quadrature_points=512)
+        z = sample_law(law, 5_000, np.random.default_rng(12))
+        assert np.array_equal(log_mixture_density(law, z), unsplit_log_density(law, z))
+
+    def test_contraction_truth_is_not_split(self):
+        theta = FourierSeries.from_dict({1: 1.0 + 0j, 2: 0.5 + 0j}, cutoff=2)
+        rng = np.random.default_rng(13)
+        for cut in (2, 4):
+            law = MixtureLaw(project(theta, cut), raised_cosine_density())
+            z = sample_law(law, 2000, rng)
+            assert np.array_equal(log_mixture_density(law, z), unsplit_log_density(law, z))
+
+    def test_call_below_the_gate_is_not_split(self):
+        # 1,000 rows x 256 nodes: the bulk alone would thin, the call is too small
+        law = next(certificate_laws())
+        z = sample_law(law, 1_000, np.random.default_rng(15))
+        assert _shift_nodes(law, bulk_thresholds(np.abs(z))[None, :])[0].size == 128
+        assert np.array_equal(log_mixture_density(law, z), unsplit_log_density(law, z))
+
+    def test_split_call_is_one_traced_kernel_call(self):
+        # the benchmark's tracer wraps the public kernel by name; the tail
+        # redo must not show as a second call
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        law = next(certificate_laws())
+        z = sample_law(law, 30_000, np.random.default_rng(14))
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            mixture.log_mixture_density(law, z)
+        finally:
+            tracer.uninstall()
+        assert tracer.times()["mixture.log_mixture_density"][0] == 1
+        assert mixture.log_mixture_density is log_mixture_density
