@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.special import zeta
 
 from .distances import DistanceEstimate, mc_distance
 from .fourier import FourierSeries, h1_norm
@@ -94,6 +92,8 @@ def fano_g_net(p: int, beta: float, nu: float, radius: float) -> list[FourierDen
     ``|m| <= p/4``; frequencies without such a decomposition are copied
     unchanged.  The coefficients stop at ``|k| = 6 p``.
     """
+    from scipy.special import zeta  # scipy loads only where it is used
+
     if beta <= nu + 0.5:
         raise ValueError("need beta > nu + 1/2")
     k_max = 6 * p
@@ -274,6 +274,8 @@ def finite_mixture_match(
     locations; the active set of the solution has at most ``2 R + 1``
     atoms, all on the grid.
     """
+    from scipy.optimize import nnls  # scipy loads only where it is used
+
     if order < 1:
         raise ValueError("order must be at least 1")
     grid = np.arange(candidate_grid) / candidate_grid

@@ -6,7 +6,15 @@ oracle at small sample sizes) and a data-augmented Gibbs sampler whose
 latent per-curve shifts make the shape update conjugate.  The sampler
 moves are:
 
-* shifts given shape and mixing law (categorical over atoms or a grid),
+* shifts given shape and mixing law: with the Dirichlet prior a
+  categorical over the atoms by the two-level inverse CDF; with the smooth
+  prior exact rejection from a block envelope on the grid (``isqrt(grid)``
+  points per block, each curve's trigonometric logit bounded on a block by
+  its value at the centre plus ``half-width * sum_k 4 pi |k| |b_k|``; a curve
+  whose slack exceeds ``_SLACK_MAX`` takes the inverse CDF; only the smooth
+  posterior's random stream differs from the former inverse CDF on every
+  curve, and a benchmark's ``n x grid`` cells count for this move is no
+  longer the exponentials it evaluates),
 * shape coefficients given shifts (complex-Gaussian conjugate refresh),
 * activation level via a birth/death Metropolis step whose new
   coefficients are proposed from the prior,
@@ -62,6 +70,11 @@ PCN_BETA = 0.1
 G_GRID = 256
 # grid on which the Dirichlet prior's atoms are redrawn
 SHIFT_GRID = 1024
+# envelope slack (nats) above which a curve's smooth-prior shift draw takes
+# the inverse CDF: rejection accepts at least e^{-2 slack} of its proposals
+_SLACK_MAX = 1.5
+# proposals per pending curve in each rejection round after the first
+_RETRY_PROPOSALS = 4
 
 
 @dataclass(frozen=True)
@@ -210,6 +223,11 @@ class _DirichletShifts:
     def log_weights(self) -> np.ndarray:
         return np.log(np.maximum(self.stick_w, 1e-300))
 
+    def draw(self, b: np.ndarray, rng) -> np.ndarray:
+        """One atom index per row of ``b`` (a centred window of the columns of
+        ``y conj(theta)``) from its conditional, by the inverse CDF."""
+        return _categorical_product(*_logit_factors(b, self.basis, self.log_weights()), rng)
+
     def update(self, assignments, y, theta, rng):
         # y and theta hold the active columns only, a centred window of ks
         k = self.cfg.truncation
@@ -244,6 +262,13 @@ class _SmoothShifts:
         self.cfg = cfg
         self.grid = np.arange(cfg.grid) / cfg.grid
         self.basis = _fourier_basis(ks, self.grid)
+        # the shift draw's blocks of isqrt(grid) points: the basis at their
+        # centres, and the largest distance from a centre to its points
+        self.block = math.isqrt(cfg.grid)
+        first = np.arange(0, cfg.grid, self.block)
+        last = np.minimum(first + self.block, cfg.grid) - 1
+        self.centre_basis = _fourier_basis(ks, (first + last) / (2.0 * cfg.grid))
+        self.half_width = (self.block - 1) / (2.0 * cfg.grid)
         self.g_density, self.w_process = sample_smooth_with_process(cfg, rng)
         self.log_mass = exp_density(self.w_process)[1]  # log int_0^1 e^w
         self.pcn_accepted = self.pcn_proposed = 0
@@ -253,6 +278,63 @@ class _SmoothShifts:
 
     def log_weights(self) -> np.ndarray:
         return self.w_process[:-1] - self.log_mass
+
+    def draw(self, b: np.ndarray, rng) -> np.ndarray:
+        """One grid index per row of ``b`` (a centred window of the columns of
+        ``y conj(theta)``) from its conditional ``g(x) e^{t(x)}``, ``t(x) = 2 Re
+        sum_k b_k e^{2 pi i k x}``, by rejection from a block envelope
+        (Devroye, Non-Uniform Random Variate Generation, 1986, II.3).
+
+        ``|t'| <= sum_k 4 pi |k| |b_k|``, so on a block ``t`` is at most its
+        value at the centre plus the row's slack, ``half_width`` times that.
+        A block is proposed in proportion to its ``g``-mass times ``e^`` that
+        bound, a point in it from ``g`` alone, and the point is accepted with
+        probability ``e^{t(x) - bound}``, at least ``e^{-2 slack}``.  Rows
+        whose slack exceeds ``_SLACK_MAX`` are drawn first, by the inverse
+        CDF.  Each round draws three uniforms per proposal; after the first,
+        a pending row makes ``_RETRY_PROPOSALS`` proposals and keeps the
+        first accepted."""
+        n, width = b.shape
+        # 1e-12 |b_k| more guards the bound against the rounding of t
+        freqs = self.half_width * 4.0 * np.pi * np.abs(np.arange(width) - width // 2)
+        slack = np.abs(b) @ (freqs + 1e-12)
+        idx = np.empty(n, dtype=int)
+        far = slack > _SLACK_MAX
+        near = np.flatnonzero(~far)
+        if near.size < n:
+            idx[far] = _categorical_product(
+                *_logit_factors(b[far], self.basis, self.log_weights()), rng
+            )
+            b, slack = b[near], slack[near]
+        coef = np.hstack([2.0 * b.real, -2.0 * b.imag])
+        bound = coef @ np.vstack(_window(self.centre_basis, width))
+        # g's cumulative masses from 0: a block's mass is a difference of
+        # two, and a point inside it is a search of the remainder
+        log_g = self.log_weights()
+        cdf = np.zeros(log_g.size + 1)
+        np.cumsum(np.exp(log_g - log_g.max()), out=cdf[1:])
+        edges = np.append(np.arange(0, log_g.size, self.block), log_g.size)
+        low, mass = cdf[edges[:-1]], np.diff(cdf[edges])
+        top = np.nextafter(cdf[edges[1:]], 0.0)
+        with np.errstate(divide="ignore"):
+            log_w = bound + np.log(mass)
+        outer = np.cumsum(np.exp(log_w - log_w.max(axis=1, keepdims=True)), axis=1)
+        # a row's slack is the same on all its blocks: it enters the acceptance only
+        bound += slack[:, None]
+        points = np.vstack(_window(self.basis, width)).T.copy()
+        pending, tries = np.arange(b.shape[0]), 1
+        while pending.size:
+            rows = np.repeat(pending, tries)
+            u = rng.random((3, rows.size))
+            blk = _search(outer[rows], u[0] * outer[rows, -1])
+            x = np.searchsorted(cdf, np.minimum(low[blk] + u[1] * mass[blk], top[blk]),
+                                side="right") - 1
+            t = np.einsum("ij,ij->i", coef[rows], points[x])
+            ok = (u[2] < np.exp(t - bound[rows, blk])).reshape(-1, tries)
+            hit = ok.any(axis=1)
+            idx[near[pending[hit]]] = x.reshape(-1, tries)[hit, ok[hit].argmax(axis=1)]
+            pending, tries = pending[~hit], _RETRY_PROPOSALS
+        return idx
 
     def update(self, assignments, y, theta, rng):
         self.pcn_proposed += 1
@@ -283,8 +365,9 @@ class GibbsSampler:
     """Data-augmented Gibbs sampler over (level, shape, shifts, mixing law).
 
     The shift prior's part of the chain (candidate shifts and their
-    basis, their log weights, the mixing-law refresh given the active
-    columns of the curves and shape, and the current law) is one
+    basis, their log weights, the curves' shift draw, the mixing-law
+    refresh given the active columns of the curves and shape, and the
+    current law) is one
     move object, ``_DirichletShifts`` or ``_SmoothShifts``, chosen by the
     prior's config class.  All conditional updates are exact given the
     shift grid and truncation.
@@ -328,12 +411,9 @@ class GibbsSampler:
     def shift_candidates(self) -> np.ndarray:
         return self.shift_move.candidates()
 
-    def _shift_factors(self):
-        b = self.Y[:, self.active] * np.conj(self.theta[self.active])
-        return _logit_factors(b, self.shift_move.basis, self.shift_move.log_weights())
-
     def update_shifts(self):
-        self.assignments = _categorical_product(*self._shift_factors(), self.rng)
+        b = self.Y[:, self.active] * np.conj(self.theta[self.active])
+        self.assignments = self.shift_move.draw(b, self.rng)
 
     @property
     def phases(self) -> np.ndarray:
@@ -464,6 +544,14 @@ def _fourier_basis(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cos(arg), np.sin(arg)])
 
 
+def _window(basis: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``cos`` and ``sin`` rows of ``basis = [cos; sin]`` at the centred
+    window of ``width`` frequencies."""
+    p = basis.shape[0] // 2
+    lo = (p - width) // 2
+    return basis[lo : lo + width], basis[p + lo : p + lo + width]
+
+
 def _logit_factors(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray):
     """``rows`` and ``factor`` with ``rows @ factor`` each row's shift logits
     less a bound on them.
@@ -474,11 +562,7 @@ def _logit_factors(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray):
     e^{2 pi i k x_j}``, at most ``s = 2 sum_k |b_k| + max_j log w_j``, so
     ``rows = [2 Re b, -2 Im b, 1, -s]`` and ``factor = [cos; sin; log w; 1]``
     at the window's rows of the basis."""
-    p, width = basis.shape[0] // 2, b.shape[1]
-    lo = (p - width) // 2
-    factor = np.vstack(
-        [basis[lo : lo + width], basis[p + lo : p + lo + width], log_w, np.ones_like(log_w)]
-    )
+    factor = np.vstack([*_window(basis, b.shape[1]), log_w, np.ones_like(log_w)])
     s = 2.0 * np.abs(b).sum(axis=1) + log_w.max()
     rows = np.hstack([2.0 * b.real, -2.0 * b.imag, np.ones((b.shape[0], 1)), -s[:, None]])
     return rows, factor
@@ -528,7 +612,7 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndar
 def _search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Count of cumulative masses ``<= u`` per row, ``u`` held below the total."""
     u = np.minimum(u, np.nextafter(cdf[:, -1], 0.0))
-    return np.count_nonzero(cdf <= u[:, None], axis=1)
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def gibbs_posterior(

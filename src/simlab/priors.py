@@ -129,10 +129,14 @@ def stick_weights(counts: np.ndarray, total_mass: float, rng) -> np.ndarray:
 
     ``V_i ~ Beta(1 + n_i, m + sum_{j>i} n_j)`` for ``i < k`` and ``w_i =
     V_i prod_{j<i} (1 - V_j)``; the ``k``-th stick takes whatever is left,
-    so the weights sum to one.  Zero counts draw from the prior.
+    so the weights sum to one.  Zero counts draw from the prior, with the
+    scalar parameters ``Beta(1, m)``: the same draws in half the time.
     """
-    tail = np.cumsum(counts[::-1])[::-1][1:]
-    v = rng.beta(1.0 + counts[:-1], total_mass + tail)
+    if counts.any():
+        a, b = 1.0 + counts[:-1], total_mass + np.cumsum(counts[::-1])[::-1][1:]
+    else:
+        a, b = 1.0, total_mass
+    v = rng.beta(a, b, size=counts.size - 1)
     remaining = np.concatenate([[1.0], np.cumprod(1.0 - v)])
     return np.append(v * remaining[:-1], remaining[-1])
 

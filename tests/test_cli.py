@@ -7,6 +7,8 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -568,3 +570,14 @@ class TestCliFuzz:
                 os.chdir(cwd)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue(), argv
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy's optimizer and zeta load inside the nets routines that use them,
+    # so a command's start does not pay for them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, simlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert "scipy.optimize" not in out.stdout and "scipy.special" not in out.stdout

@@ -25,6 +25,8 @@ from simlab.posterior import (
     _fourier_basis,
     _inverse_cdf,
     _logit_factors,
+    _SLACK_MAX,
+    _SmoothShifts,
 )
 from simlab.priors import DirichletPriorConfig, SievePriorConfig, SmoothPriorConfig
 from simlab.shifts import (
@@ -213,8 +215,8 @@ class _Recording:
     def __init__(self, rng):
         self.rng, self.uniforms = rng, []
 
-    def beta(self, a, b):
-        return self.rng.beta(a, b)
+    def beta(self, a, b, size=None):
+        return self.rng.beta(a, b, size)
 
     def random(self, size=None):
         self.uniforms.append(self.rng.random(size))
@@ -233,7 +235,9 @@ def _categorical(logits, rng):
 
 def _shift_log_weights(sampler):
     """Unnormalized log posterior of each curve's shift over the candidates."""
-    rows, factor = sampler._shift_factors()
+    a, move = sampler.active, sampler.shift_move
+    b = sampler.Y[:, a] * np.conj(sampler.theta[a])
+    rows, factor = _logit_factors(b, move.basis, move.log_weights())
     rows[:, -1] = 0.0
     return rows @ factor
 
@@ -440,7 +444,11 @@ class TestCategoricalProduct:
         state = np.random.default_rng(16)
         sampler.rng = np.random.default_rng(16)
         sampler.update_shifts()
-        np.testing.assert_array_equal(sampler.assignments, _categorical(want, state))
+        if isinstance(move, _SmoothShifts):  # the block-envelope draw over every column
+            want_idx = move.draw(sampler.Y * np.conj(sampler.theta), state)
+        else:
+            want_idx = _categorical(want, state)
+        np.testing.assert_array_equal(sampler.assignments, want_idx)
 
     def test_one_cluster_atom_draw(self):
         # one occupied cluster makes the atom draw a one-row product
@@ -465,6 +473,183 @@ class TestCategoricalProduct:
         # the sampler passes a column window of its curves
         np.add.at(want := np.zeros((100, 5), dtype=complex), assignments, y[:, 2:7])
         assert np.array_equal(_cluster_sums(assignments, y[:, 2:7], 100), want)
+
+
+def _smooth_move(m, l_max=4, seed=0):
+    """The smooth prior's shift move on the open ``m``-grid, its process drawn
+    from the prior."""
+    cfg = SmoothPriorConfig(nu=1.5, radius=2.0, grid=m)
+    return _SmoothShifts(cfg, np.arange(-l_max, l_max + 1), np.random.default_rng(seed))
+
+
+def _slack(move, b):
+    """The envelope slack of each row of ``b``: half a block's width times
+    ``sum_k 4 pi |k| |b_k|``."""
+    width = b.shape[1]
+    return move.half_width * 4.0 * np.pi * (np.abs(b) @ np.abs(np.arange(width) - width // 2))
+
+
+def _chi2_pvalue(idx, logits):
+    """chi-square p-value of the draws ``idx`` (one row of draws per row of
+    ``logits``) against the softmax of ``logits``; each row's cells, in order
+    of probability, are pooled into bins of at least 10 expected draws."""
+    stat, dof = 0.0, 0
+    for draws, row in zip(idx, logits):
+        expected = draws.size * _softmax(row)
+        order = np.argsort(expected)
+        bins, acc, k = np.empty(row.size, dtype=int), 0.0, 0
+        for i, e in enumerate(expected[order]):
+            bins[i], acc = k, acc + e
+            if acc >= 10.0:
+                k, acc = k + 1, 0.0
+        bins[bins == k] = max(k - 1, 0)  # a short last bin joins the one before
+        observed = np.bincount(bins, np.bincount(draws, minlength=row.size)[order])
+        want = np.bincount(bins, expected[order])
+        stat += float(np.sum((observed - want) ** 2 / want))
+        dof += want.size - 1
+    return stats.chi2.sf(stat, dof)
+
+
+def _repeated_draw(move, b, draws, seed):
+    """``draws`` draws of every row of ``b``, one row of draws per row.  Even
+    at the slack bound a row needs about e^3 = 20 proposals of three uniforms
+    on average; a draw that takes 20 times that fails."""
+    rows = b.shape[0] * draws
+    rng = _CappedUniforms(np.random.default_rng(seed), cap=3 * 400 * rows)
+    return move.draw(np.repeat(b, draws, axis=0), rng).reshape(b.shape[0], draws)
+
+
+class _CappedUniforms:
+    """Generator wrapper that fails once more than ``cap`` uniforms are drawn,
+    so a draw that would not terminate fails instead of hanging."""
+
+    def __init__(self, rng, cap):
+        self.rng, self.cap, self.drawn = rng, cap, 0
+
+    def random(self, size=None):
+        self.drawn += 1 if size is None else int(np.prod(size))
+        if self.drawn > self.cap:
+            raise AssertionError(f"more than {self.cap} uniforms drawn")
+        return self.rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class _ExtremeProposals:
+    """Stand-in generator: every uniform is ``value``, except that each
+    rejection round's acceptance uniforms (the last row of its ``(3, k)``
+    draw) are 0, so every proposal is accepted."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        u = np.full(size, self.value)
+        if u.ndim == 2:
+            u[-1] = 0.0
+        return u
+
+
+class TestBlockRejection:
+    """The smooth prior's shift draw against its conditional on explicit logits."""
+
+    @pytest.mark.parametrize("m", [64, 256, 1024])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_matches_explicit_conditional(self, m, level):
+        rng = np.random.default_rng(100 * m + level)
+        move = _smooth_move(m, seed=level)
+        b, ks, x, _, _ = _draw_case(rng, 6, m, level, l_max=4)
+        b *= np.array([0.02, 0.1, 0.3, 0.6, 1.0, 3.0])[:, None]
+        idx = _repeated_draw(move, b, 4000, seed=m + level)
+        logits = _explicit_logits(b, ks, x, move.log_weights())
+        assert _chi2_pvalue(idx, logits) > 1e-3
+
+    def test_rows_past_the_slack_bound_take_the_inverse_cdf(self):
+        rng = np.random.default_rng(41)
+        move = _smooth_move(256)
+        b, ks, x, _, _ = _draw_case(rng, 40, 256, 2, scale=0.2, l_max=4)
+        far = np.zeros(40, dtype=bool)
+        far[::4] = True
+        b[far] *= 40.0
+        assert np.array_equal(_slack(move, b) > _SLACK_MAX, far)
+        # the far rows are drawn first, by the inverse CDF on their own
+        got = move.draw(b, _CappedUniforms(np.random.default_rng(42), cap=3 * 400 * 40))
+        rows, factor = _logit_factors(b[far], move.basis, move.log_weights())
+        want = _categorical_product(rows, factor, np.random.default_rng(42))
+        np.testing.assert_array_equal(got[far], want)
+        idx = _repeated_draw(move, b, 2000, seed=43)
+        logits = _explicit_logits(b, ks, x, move.log_weights())
+        assert _chi2_pvalue(idx[far], logits[far]) > 1e-3
+        assert _chi2_pvalue(idx[~far], logits[~far]) > 1e-3
+
+    def test_zero_shape_draws_from_g_alone(self):
+        move = _smooth_move(1024)
+        n, a, b = 20_000, np.random.default_rng(44), np.random.default_rng(44)
+        idx = move.draw(np.zeros((n, 5), dtype=complex), a)
+        assert _chi2_pvalue(idx[None, :], move.log_weights()[None, :]) > 1e-3
+        # every proposal is accepted: one round of three uniforms per row
+        b.random((3, n))
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 1024])
+    def test_high_snr_rows_terminate(self, m):
+        # rows far past the slack bound and rows just below it, where the
+        # acceptance may be as low as e^{-2 _SLACK_MAX}
+        rng = np.random.default_rng(m)
+        move = _smooth_move(m)
+        b, ks, x, _, _ = _draw_case(rng, 8, m, 4, l_max=4)
+        slack = _slack(move, b)
+        below = np.arange(8) % 2 == 0
+        if move.half_width > 0.0:
+            b[below] *= (0.999 * _SLACK_MAX / slack[below])[:, None]
+        b[~below] *= 1e3
+        idx = _repeated_draw(move, b, 500, seed=m)
+        logits = _explicit_logits(b, ks, x, move.log_weights())
+        assert _chi2_pvalue(idx, logits) > 1e-3
+
+    def test_sampler_terminates_at_high_snr(self):
+        truth = FourierSeries.from_dict({1: 40.0 + 0j, 2: 20.0 + 0j}, cutoff=2)
+        obs = simulate(truth, raised_cosine_density(), 400, 4, sigma=0.01, seed=45)
+        sampler = GibbsSampler(obs, smooth_prior(400, l_max=4, grid=1024),
+                               np.random.default_rng(46))
+        sampler.rng = _CappedUniforms(sampler.rng, cap=3 * 3 * 400 * 400)
+        sampler.level = 2
+        sampler.theta = project(truth, sampler.l_max).coeffs.copy()
+        for _ in range(3):
+            sampler.sweep()
+        assert sampler.assignments.min() >= 0 and sampler.assignments.max() < 1024
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 6),
+        m=st.integers(2, 80),
+        level=st.integers(0, 4),
+        scale=st.sampled_from([1e-3, 0.1, 1.0, 100.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_index_has_positive_probability(self, data, n, m, level, scale, seed):
+        width = 2 * level + 1
+        part = st.floats(-3.0, 3.0)
+        re, im = (np.array(data.draw(st.lists(part, min_size=n * width, max_size=n * width)))
+                  for _ in range(2))
+        b = scale * (re + 1j * im).reshape(n, width)
+        entry = st.one_of(st.floats(-50.0, 50.0), st.just(-np.inf))
+        log_w = np.array(data.draw(st.lists(entry, min_size=m, max_size=m)))
+        assume(np.isfinite(log_w).any())
+        move = _smooth_move(m)
+        # log_weights() reads the process less its log mass
+        move.w_process, move.log_mass = np.append(log_w, log_w[0]), 0.0
+        logits = _explicit_logits(b, np.arange(-level, level + 1), move.grid, log_w)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        idx = move.draw(b, _CappedUniforms(np.random.default_rng(seed), cap=3 * 400 * n))
+        assert np.all(p[np.arange(n), idx] > 0.0)
+        # at the ends of the unit interval a proposal stays on a point of
+        # positive mass under g
+        for u in (0.0, 1.0 - 2.0**-53, 1.0):
+            idx = move.draw(b, _ExtremeProposals(u))
+            assert np.all(np.isfinite(log_w[idx]))
 
 
 class TestDirichletAtomUpdate:
