@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 _METRICS = ("TV", "H2", "KL", "V")
-_RANGES = {"TV": (0.0, 1.0), "H2": (0.0, 2.0)}
 _RATIO_FLOOR = 1e-300
 # an inequality holds when it holds within this many combined standard errors
 N_SIGMA = 3.0
@@ -51,8 +50,8 @@ class NonFiniteDensityError(RuntimeError):
 class DistanceEstimate:
     """A Monte-Carlo distance value, its standard error and sample count.
 
-    Values are clamped to the metric's range ([0, 1] for TV, [0, 2] for
-    squared Hellinger).
+    TV and squared-Hellinger values lie in the metric's range ([0, 1] and
+    [0, 2]), since every integrand does and a mean stays within its range.
     """
 
     value: float
@@ -66,19 +65,21 @@ def tv_gaussians(z1: np.ndarray, z2: np.ndarray) -> float:
     With per-coordinate real/imaginary variance 1/2, projecting onto the
     mean-difference direction gives ``2 Phi(||z1 - z2|| / sqrt(2)) - 1``.
     """
-    z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
-    z2 = np.atleast_1d(np.asarray(z2, dtype=complex))
-    if z1.shape != z2.shape:
-        raise ValueError("mean vectors must share a dimension")
-    d = float(np.linalg.norm(z1 - z2))
-    return 2.0 * normal_cdf(d / math.sqrt(2.0)) - 1.0
+    return 2.0 * normal_cdf(_mean_distance(z1, z2) / math.sqrt(2.0)) - 1.0
 
 
 def tv_gaussians_linear_bound(z1: np.ndarray, z2: np.ndarray) -> float:
     """Tangent-line bound ``||z1 - z2|| / sqrt(pi)`` on the Gaussian TV."""
+    return _mean_distance(z1, z2) / math.sqrt(math.pi)
+
+
+def _mean_distance(z1, z2) -> float:
+    """``||z1 - z2||`` of two complex mean vectors of one dimension."""
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     z2 = np.atleast_1d(np.asarray(z2, dtype=complex))
-    return float(np.linalg.norm(z1 - z2)) / math.sqrt(math.pi)
+    if z1.shape != z2.shape:
+        raise ValueError("mean vectors must share a dimension")
+    return float(np.linalg.norm(z1 - z2))
 
 
 def hellinger_point_shift(f: FourierSeries, f_tilde: FourierSeries) -> float:
@@ -90,13 +91,6 @@ def hellinger_point_shift(f: FourierSeries, f_tilde: FourierSeries) -> float:
     diff = project(f, cut).coeffs - project(f_tilde, cut).coeffs
     sq = float(np.sum(np.abs(diff) ** 2))
     return math.sqrt(2.0 * -math.expm1(-sq / 4.0))
-
-
-def _clamp(metric: str, value: float) -> float:
-    if metric in _RANGES:
-        lo, hi = _RANGES[metric]
-        return min(max(value, lo), hi)
-    return value
 
 
 def mc_distance(
@@ -140,7 +134,7 @@ def mc_distance(
             raise NonFiniteDensityError("non-finite density ratio in TV/H2 estimate")
         value = float(np.mean(h))
         se = float(np.std(h, ddof=1) / math.sqrt(samples))
-        return DistanceEstimate(_clamp(metric, value), se, samples)
+        return DistanceEstimate(value, se, samples)
 
     z = sample_law(p, samples, rng)
     lp = log_mixture_density(p, z)

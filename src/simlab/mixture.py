@@ -205,12 +205,12 @@ def _shift_nodes(law: MixtureLaw, absz: np.ndarray, budget=None):
     return phi, w
 
 
-def _row_reduce(rows: np.ndarray, b: np.ndarray, reduce, *per_row) -> np.ndarray:
-    """``reduce`` of each row of ``rows @ b``, computed ``_BLOCK`` exponents at
-    a time in one reused buffer; ``reduce`` may overwrite the block and gets
-    the block's slice of each ``per_row`` array after it.  A block holds two
-    rows or more: numpy hands a one-row product to gemv, whose last bits
-    differ from gemm's, so a lone row is computed twice over."""
+def _row_reduce(rows: np.ndarray, b: np.ndarray, reduce, index=None) -> np.ndarray:
+    """``reduce(e, at)`` of each block ``e`` of ``rows @ b``, ``_BLOCK``
+    exponents at a time in one reused buffer (``reduce`` may overwrite it),
+    ``at`` the block's row indices: its slice of ``rows`` or of ``index``.
+    A block holds two rows or more: numpy hands a one-row product to gemv,
+    whose last bits differ from gemm's, so a lone row is computed twice over."""
     n, k = rows.shape[0], b.shape[1]
     step = max(2, _BLOCK // k)
     expo = np.empty((max(2, min(step, n)), k))
@@ -220,33 +220,32 @@ def _row_reduce(rows: np.ndarray, b: np.ndarray, reduce, *per_row) -> np.ndarray
         m = part.shape[0]
         pair = part if m > 1 else np.repeat(part, 2, axis=0)
         e = np.matmul(pair, b, out=expo[: max(m, 2)])[:m]
-        out[lo : lo + m] = reduce(e, *(a[lo : lo + m] for a in per_row))
+        at = slice(lo, lo + m) if index is None else index[lo : lo + m]
+        out[lo : lo + m] = reduce(e, at)
     return out
 
 
-def _bounded_reduce(rows: np.ndarray, b: np.ndarray, reduce, *per_row):
+def _bounded_reduce(rows: np.ndarray, b: np.ndarray, reduce):
     """``reduce`` of each row of ``exp(rows @ b)``, with the shifts: ``rows``
     are laid out as ``[..., 1, -s]``, the last column the row's shift ``s``
     against the last row of ``b`` (all ones), ``s`` at or above the row's
     largest exponent.  A row whose total falls below ``_SUM_FLOOR`` (``s``
     far above that maximum) is redone with its exact maximum as the shift;
-    the redo rewrites the row's entries of each ``per_row`` array in place.
-    Returns the totals and each row's shift."""
+    ``reduce`` gets each block's row indices in ``rows`` (:func:`_row_reduce`),
+    the redo's among them.  Returns the totals and each row's shift."""
 
-    def reduce_exp(e, *parts):
-        return reduce(np.exp(e, out=e), *parts)
+    def reduce_exp(e, at):
+        return reduce(np.exp(e, out=e), at)
 
-    totals = _row_reduce(rows, b, reduce_exp, *per_row)
+    totals = _row_reduce(rows, b, reduce_exp)
     shift = -rows[:, -1]
     low = np.flatnonzero(totals < _SUM_FLOOR)
     if low.size:
-        redo, parts = rows[low], [a[low] for a in per_row]
+        redo = rows[low]
         redo[:, -1] = 0.0
-        shift[low] = _row_reduce(redo, b, lambda e: np.max(e, axis=1))
+        shift[low] = _row_reduce(redo, b, lambda e, _: np.max(e, axis=1))
         redo[:, -1] = -shift[low]
-        totals[low] = _row_reduce(redo, b, reduce_exp, *parts)
-        for a, part in zip(per_row, parts):
-            a[low] = part
+        totals[low] = _row_reduce(redo, b, reduce_exp, low)
     return totals, shift
 
 
@@ -290,7 +289,7 @@ def _log_density(law, z, absz, phi, w) -> np.ndarray:
     b = np.vstack([2.0 * mu.real.T, 2.0 * mu.imag.T, const, np.ones(const.size)])
     shift = np.einsum("ij,j->i", absz, 2.0 * np.abs(mu).max(axis=0)) + const.max()
     rows = np.hstack([z.real, z.imag, np.ones((z.shape[0], 1)), -shift[:, None]])
-    sums, shift = _bounded_reduce(rows, b, lambda w: np.einsum("ij->i", w))
+    sums, shift = _bounded_reduce(rows, b, lambda w, _: np.einsum("ij->i", w))
     with np.errstate(divide="ignore"):
         out = shift + np.log(sums)
     sq = np.einsum("ij,ij->i", rows[:, : 2 * p], rows[:, : 2 * p])

@@ -11,10 +11,7 @@ moves are:
   prior exact rejection from a block envelope on the grid (``isqrt(grid)``
   points per block, each curve's trigonometric logit bounded on a block by
   its value at the centre plus ``half-width * sum_k 4 pi |k| |b_k|``; a curve
-  whose slack exceeds ``_SLACK_MAX`` takes the inverse CDF; only the smooth
-  posterior's random stream differs from the former inverse CDF on every
-  curve, and a benchmark's ``n x grid`` cells count for this move is no
-  longer the exponentials it evaluates),
+  whose slack exceeds ``_SLACK_MAX`` takes the inverse CDF),
 * shape coefficients given shifts (complex-Gaussian conjugate refresh),
 * activation level via a birth/death Metropolis step whose new
   coefficients are proposed from the prior,
@@ -174,22 +171,16 @@ def importance_posterior(
     if draws < 1:
         raise ValueError("need at least one draw")
     sample_g = _SHIFT_MOVES[type(prior_cfg.shift_prior)].sample_prior
-    thetas = []
-    gs = []
-    logl = np.empty(draws)
-    for d in range(draws):
-        theta = sample_f(prior_cfg.sieve, rng)
-        g = sample_g(prior_cfg.shift_prior, rng)
-        thetas.append(theta)
-        gs.append(g)
-        law = MixtureLaw(project(theta, obs.cutoff), g)
-        logl[d] = log_likelihood(law, obs)
+    # the likelihood draws nothing: all pairs first is the per-draw stream
+    pairs = [(sample_f(prior_cfg.sieve, rng), sample_g(prior_cfg.shift_prior, rng))
+             for _ in range(draws)]
+    logl = np.array([log_likelihood(MixtureLaw(project(theta, obs.cutoff), g), obs)
+                     for theta, g in pairs])
     w = np.exp(logl - logl.max())
     w /= w.sum()
-    ess = 1.0 / float(np.sum(w**2))
-    diag = {"ess": ess, "low_ess_warning": bool(ess < 10.0)}
-    samples = [(thetas[d], gs[d], float(w[d])) for d in range(draws)]
-    return PosteriorEnsemble(samples, diag)
+    ens = PosteriorEnsemble([(theta, g, float(wd)) for (theta, g), wd in zip(pairs, w)])
+    ens.diagnostics["low_ess_warning"] = bool(ens.diagnostics["ess"] < 10.0)
+    return ens
 
 
 class _DirichletShifts:
@@ -226,7 +217,7 @@ class _DirichletShifts:
     def draw(self, b: np.ndarray, rng) -> np.ndarray:
         """One atom index per row of ``b`` (a centred window of the columns of
         ``y conj(theta)``) from its conditional, by the inverse CDF."""
-        return _categorical_product(*_logit_factors(b, self.basis, self.log_weights()), rng)
+        return _exact_draw(b, self.basis, self.log_weights(), rng)
 
     def update(self, assignments, y, theta, rng):
         # y and theta hold the active columns only, a centred window of ks
@@ -242,8 +233,7 @@ class _DirichletShifts:
         u = rng.random(k - int(occupied.sum()))
         idx[~occupied] = categorical(self.base, u)
         b = cluster_sums[occupied] * np.conj(theta)
-        rows, factor = _logit_factors(b, self.grid_basis, self.log_base)
-        idx[occupied] = _categorical_product(rows, factor, rng)
+        idx[occupied] = _exact_draw(b, self.grid_basis, self.log_base, rng)
         self.atoms, self.basis = self.grid[idx], self.grid_basis[:, idx]
 
     def law(self) -> Discrete:
@@ -262,13 +252,13 @@ class _SmoothShifts:
         self.cfg = cfg
         self.grid = np.arange(cfg.grid) / cfg.grid
         self.basis = _fourier_basis(ks, self.grid)
-        # the shift draw's blocks of isqrt(grid) points: the basis at their
-        # centres, and the largest distance from a centre to its points
-        self.block = math.isqrt(cfg.grid)
-        first = np.arange(0, cfg.grid, self.block)
-        last = np.minimum(first + self.block, cfg.grid) - 1
-        self.centre_basis = _fourier_basis(ks, (first + last) / (2.0 * cfg.grid))
-        self.half_width = (self.block - 1) / (2.0 * cfg.grid)
+        # the shift draw's blocks of isqrt(grid) points: their edges, the basis
+        # at their centres, and the largest distance from a centre to its points
+        block = math.isqrt(cfg.grid)
+        self.edges = np.append(np.arange(0, cfg.grid, block), cfg.grid)
+        centres = (self.edges[:-1] + self.edges[1:] - 1) / (2.0 * cfg.grid)
+        self.centre_basis = _fourier_basis(ks, centres)
+        self.half_width = (block - 1) / (2.0 * cfg.grid)
         self.g_density, self.w_process = sample_smooth_with_process(cfg, rng)
         self.log_mass = exp_density(self.w_process)[1]  # log int_0^1 e^w
         self.pcn_accepted = self.pcn_proposed = 0
@@ -302,9 +292,7 @@ class _SmoothShifts:
         far = slack > _SLACK_MAX
         near = np.flatnonzero(~far)
         if near.size < n:
-            idx[far] = _categorical_product(
-                *_logit_factors(b[far], self.basis, self.log_weights()), rng
-            )
+            idx[far] = _exact_draw(b[far], self.basis, self.log_weights(), rng)
             b, slack = b[near], slack[near]
         coef = np.hstack([2.0 * b.real, -2.0 * b.imag])
         bound = coef @ np.vstack(_window(self.centre_basis, width))
@@ -313,9 +301,8 @@ class _SmoothShifts:
         log_g = self.log_weights()
         cdf = np.zeros(log_g.size + 1)
         np.cumsum(np.exp(log_g - log_g.max()), out=cdf[1:])
-        edges = np.append(np.arange(0, log_g.size, self.block), log_g.size)
-        low, mass = cdf[edges[:-1]], np.diff(cdf[edges])
-        top = np.nextafter(cdf[edges[1:]], 0.0)
+        low, mass = cdf[self.edges[:-1]], np.diff(cdf[self.edges])
+        top = np.nextafter(cdf[self.edges[1:]], 0.0)
         with np.errstate(divide="ignore"):
             log_w = bound + np.log(mass)
         outer = np.cumsum(np.exp(log_w - log_w.max(axis=1, keepdims=True)), axis=1)
@@ -552,39 +539,31 @@ def _window(basis: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return basis[lo : lo + width], basis[p + lo : p + lo + width]
 
 
-def _logit_factors(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray):
-    """``rows`` and ``factor`` with ``rows @ factor`` each row's shift logits
-    less a bound on them.
+def _exact_draw(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray, rng) -> np.ndarray:
+    """One candidate index per row of ``b`` from its shift conditional,
+    without forming the logits.
 
     ``b`` holds a centred window of the columns of ``y conj(theta)`` (the
     active frequencies), ``basis`` is ``[cos; sin](2 pi k x)`` over all of
     them.  The logit of candidate ``x_j`` is ``log w_j + 2 Re sum_k b_k
     e^{2 pi i k x_j}``, at most ``s = 2 sum_k |b_k| + max_j log w_j``, so
-    ``rows = [2 Re b, -2 Im b, 1, -s]`` and ``factor = [cos; sin; log w; 1]``
-    at the window's rows of the basis."""
+    the rows ``[2 Re b, -2 Im b, 1, -s]`` times ``[cos; sin; log w; 1]`` at
+    the window's rows of the basis are the logits less that bound.  One
+    uniform per row is drawn first; :func:`mixture._bounded_reduce` then runs
+    :func:`_inverse_cdf` at each block's row indices, a row redone at its
+    exact maximum (total below ``e^-600``) with the same uniform."""
+    n = b.shape[0]
     factor = np.vstack([*_window(basis, b.shape[1]), log_w, np.ones_like(log_w)])
     s = 2.0 * np.abs(b).sum(axis=1) + log_w.max()
-    rows = np.hstack([2.0 * b.real, -2.0 * b.imag, np.ones((b.shape[0], 1)), -s[:, None]])
-    return rows, factor
-
-
-def _categorical_product(rows: np.ndarray, factor: np.ndarray, rng) -> np.ndarray:
-    """One index per row with probability proportional to ``exp`` of the
-    logits ``rows @ factor`` (the last column of ``rows`` a shift against the
-    last row of ``factor``, all ones), without forming them: one uniform per
-    row is drawn first, then :func:`mixture._bounded_reduce` runs the
-    two-level search of :func:`_inverse_cdf` on each block, redoing a row
-    whose total is below ``e^-600`` with its exact maximum and the same
-    uniform."""
-    n = rows.shape[0]
+    rows = np.hstack([2.0 * b.real, -2.0 * b.imag, np.ones((n, 1)), -s[:, None]])
     u, idx = rng.random(n), np.empty(n, dtype=int)
-    _bounded_reduce(rows, factor, _inverse_cdf, u, idx)
+    _bounded_reduce(rows, factor, lambda w, at: _inverse_cdf(w, u, idx, at))
     return idx
 
 
-def _inverse_cdf(weights: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write to ``out`` one index per row of the nonnegative ``weights`` for
-    its uniform ``u``, by a two-level inverse CDF, and return the row totals.
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray, out: np.ndarray, at) -> np.ndarray:
+    """Write to ``out[at]`` one index per row of the nonnegative ``weights`` for
+    its uniform ``u[at]``, by a two-level inverse CDF, and return the row totals.
 
     ``u`` scaled by the row total picks a block of ``isqrt(k)`` entries and
     its remainder an entry in it; each is held below its total, so no
@@ -600,12 +579,12 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndar
     cdf = np.zeros((rows, blocks.shape[1] + 1))  # cumulative block sums after a 0
     np.cumsum(np.einsum("ijk->ij", blocks), axis=1, out=cdf[:, 1:])
     total = cdf[:, -1]
-    u = u * total
+    u = u[at] * total
     # a zero total (a bound-shifted row to be redone) would count every block
     block = np.minimum(_search(cdf[:, 1:], u), blocks.shape[1] - 1)
     u -= cdf[r, block]
     inside = blocks[r, block]
-    out[:] = block * width + _search(np.cumsum(inside, axis=1, out=inside), u)
+    out[at] = block * width + _search(np.cumsum(inside, axis=1, out=inside), u)
     return total
 
 

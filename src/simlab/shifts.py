@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import complex_from_json, complex_to_json
+from .fourier import FourierSeries, complex_from_json, complex_to_json, evaluate
 from .fourier import floats_from_json, pairs_from_json
 
 __all__ = [
@@ -217,9 +217,7 @@ class FourierDensity(ShiftDistribution):
     def reconstruct(self, m: int = DEFAULT_GRID) -> np.ndarray:
         """Density values on the closed m-grid via Fourier synthesis."""
         t = np.linspace(0.0, 1.0, m + 1)
-        ks = np.arange(-self.k_max, self.k_max + 1)
-        vals = np.exp(2j * np.pi * np.outer(t, ks)) @ self.coeffs
-        return vals.real
+        return evaluate(FourierSeries(self.k_max, self.coeffs), t).real
 
     def to_grid(self, m: int = DEFAULT_GRID) -> GridDensity:
         vals = self.reconstruct(m)

@@ -52,6 +52,12 @@ class TestGaussianTV:
             z2 = rng.normal(size=p) + 1j * rng.normal(size=p)
             assert tv_gaussians(z1, z2) <= tv_gaussians_linear_bound(z1, z2)
 
+    @pytest.mark.parametrize("tv", [tv_gaussians, tv_gaussians_linear_bound])
+    def test_mismatched_dimensions_are_refused(self, tv):
+        # a (1,) and a (3,) mean would broadcast to a distance of sqrt(3)
+        with pytest.raises(ValueError, match="share a dimension"):
+            tv([1.0], [0.0, 0.0, 0.0])
+
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(1)
         th1 = FourierSeries.from_dict({1: 0.7 + 0j}, 1)
@@ -203,6 +209,16 @@ class TestLogRatioIntegrands:
         h = np.abs(a - b) / (a + b) if metric == "TV" else 2.0 - 4.0 * np.sqrt(a * b) / (a + b)
         assert est.value == pytest.approx(np.mean(h), rel=1e-14)
         assert est.std_error == pytest.approx(np.std(h, ddof=1) / math.sqrt(h.size), rel=1e-12)
+
+    @pytest.mark.parametrize("metric, ceiling", [("TV", 1.0), ("H2", 2.0)])
+    def test_saturated_integrands_give_the_ceiling(self, monkeypatch, metric, ceiling):
+        # huge opposite-sign log densities: tanh(|d|/2) is 1 and cosh(d/2)
+        # overflows, so every integrand is exactly the metric's ceiling
+        lp = np.array([800.0, -800.0, 1e4, -1e4, 3e5, -3e5, 800.0])
+        patch_log_densities(monkeypatch, self.P, lp, -lp)
+        est = mc_distance(self.P, self.Q, metric, lp.size, np.random.default_rng(3))
+        assert est.value == ceiling
+        assert est.std_error == 0.0
 
     @pytest.mark.parametrize("metric", ["TV", "H2"])
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])

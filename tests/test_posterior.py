@@ -20,13 +20,13 @@ from simlab.posterior import (
     gibbs_posterior,
     importance_posterior,
     shift_measure,
-    _categorical_product,
     _cluster_sums,
+    _exact_draw,
     _fourier_basis,
     _inverse_cdf,
-    _logit_factors,
     _SLACK_MAX,
     _SmoothShifts,
+    _window,
 )
 from simlab.priors import DirichletPriorConfig, SievePriorConfig, SmoothPriorConfig
 from simlab.shifts import (
@@ -229,17 +229,18 @@ def _categorical(logits, rng):
     search with one uniform per row."""
     logits -= logits.max(axis=1, keepdims=True)
     out = np.empty(logits.shape[0], dtype=int)
-    _inverse_cdf(np.exp(logits, out=logits), rng.random(logits.shape[0]), out)
+    u = rng.random(logits.shape[0])
+    _inverse_cdf(np.exp(logits, out=logits), u, out, slice(None))
     return out
 
 
 def _shift_log_weights(sampler):
-    """Unnormalized log posterior of each curve's shift over the candidates."""
+    """Unnormalized log posterior of each curve's shift over the candidates,
+    from the move's basis at the active window."""
     a, move = sampler.active, sampler.shift_move
     b = sampler.Y[:, a] * np.conj(sampler.theta[a])
-    rows, factor = _logit_factors(b, move.basis, move.log_weights())
-    rows[:, -1] = 0.0
-    return rows @ factor
+    cos, sin = _window(move.basis, b.shape[1])
+    return move.log_weights() + 2.0 * (b.real @ cos - b.imag @ sin)
 
 
 def _single_level(logits, u):
@@ -366,7 +367,8 @@ def _draw_case(rng, n, m, level, scale=1.0, l_max=2):
 
 
 class TestCategoricalProduct:
-    """The one-pass shift draw against ``_categorical`` on explicit logits."""
+    """The one-pass shift draw ``_exact_draw`` against ``_categorical`` on
+    explicit logits."""
 
     # the smooth prior's 1,024 grid (n = 400), the Dirichlet prior's 100
     # atoms (n = 800) and its atom draw (8 clusters), and a 1,000 grid,
@@ -376,11 +378,7 @@ class TestCategoricalProduct:
     def test_same_index_as_categorical(self, n, m, level):
         rng = np.random.default_rng(1000 * level + m)
         b, ks, x, basis, log_w = _draw_case(rng, n, m, level)
-        rows, factor = _logit_factors(b, basis, log_w)
-        np.testing.assert_allclose(
-            rows[:, :-1] @ factor[:-1], _explicit_logits(b, ks, x, log_w), rtol=0, atol=1e-12
-        )
-        got = _categorical_product(rows, factor, np.random.default_rng(7))
+        got = _exact_draw(b, basis, log_w, np.random.default_rng(7))
         want = _categorical(_explicit_logits(b, ks, x, log_w), np.random.default_rng(7))
         np.testing.assert_array_equal(got, want)
 
@@ -396,10 +394,10 @@ class TestCategoricalProduct:
         b[far] = modulus * np.exp(1j * alpha * np.array([-2, -1, 0, 1, 2]))
         b[far] *= np.array([-1.0, 1.0, 0.0, 1.0, -1.0])
         logits = _explicit_logits(b, ks, x, log_w)
-        rows, factor = _logit_factors(b, basis, log_w)
-        gap = -rows[far, -1] - logits[far].max(axis=1)
+        bound = 2.0 * np.abs(b).sum(axis=1) + log_w.max()  # the draw's row shift
+        gap = bound[far] - logits[far].max(axis=1)
         assert np.all(gap > 600.0 + math.log(1024))
-        got = _categorical_product(rows, factor, np.random.default_rng(8))
+        got = _exact_draw(b, basis, log_w, np.random.default_rng(8))
         np.testing.assert_array_equal(got, _categorical(logits, np.random.default_rng(8)))
 
     @settings(max_examples=200, deadline=None)
@@ -421,8 +419,7 @@ class TestCategoricalProduct:
         u = data.draw(st.floats(0.0, 1.0))
         ks = np.arange(-2, 3)
         x = np.arange(m) / m
-        idx = _categorical_product(*_logit_factors(b, _fourier_basis(ks, x), log_w),
-                                   _ConstantUniform(u))
+        idx = _exact_draw(b, _fourier_basis(ks, x), log_w, _ConstantUniform(u))
         logits = _explicit_logits(b, ks[2 - level : 3 + level], x, log_w)
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         assert np.all(p[np.arange(n), idx] > 0.0)
@@ -575,8 +572,7 @@ class TestBlockRejection:
         assert np.array_equal(_slack(move, b) > _SLACK_MAX, far)
         # the far rows are drawn first, by the inverse CDF on their own
         got = move.draw(b, _CappedUniforms(np.random.default_rng(42), cap=3 * 400 * 40))
-        rows, factor = _logit_factors(b[far], move.basis, move.log_weights())
-        want = _categorical_product(rows, factor, np.random.default_rng(42))
+        want = _exact_draw(b[far], move.basis, move.log_weights(), np.random.default_rng(42))
         np.testing.assert_array_equal(got[far], want)
         idx = _repeated_draw(move, b, 2000, seed=43)
         logits = _explicit_logits(b, ks, x, move.log_weights())

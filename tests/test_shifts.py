@@ -59,6 +59,13 @@ class TestInvariants:
         with pytest.raises(ValueError):
             FourierDensity(np.array([0.9, 1.0, 0.9], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_fourier_non_finite_refused(self, bad):
+        # a non-finite pair passes the Hermitian check; the synthesis refuses it
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            FourierDensity(np.array([bad, 1.0, bad], dtype=complex))
+
     def test_json_round_trip(self):
         for g in (
             Discrete(np.array([0.1, 0.6]), np.array([0.3, 0.7])),

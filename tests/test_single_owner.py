@@ -2,7 +2,9 @@
 
 Every categorical draw goes through ``shifts.categorical`` and every stick
 fraction through ``priors.stick_weights``; a second ``choice`` or ``beta``
-call would fork a stream that the equivalence tests pin.
+call would fork a stream that the equivalence tests pin.  The bound-shifted
+kernel's floor-and-redo has two callers: the log density and the Gibbs
+sampler's exact draw.
 """
 
 import ast
@@ -12,7 +14,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "simlab"
 
 
 def _calls(attr: str) -> list[tuple[str, str | None, int]]:
-    """(file, enclosing function, line) of every ``<expr>.attr(...)`` call."""
+    """(file, enclosing function, line) of every ``<expr>.attr(...)`` or
+    ``attr(...)`` call."""
     found = []
 
     def visit(node, owner, name):
@@ -21,7 +24,9 @@ def _calls(attr: str) -> list[tuple[str, str | None, int]]:
                 visit(child, child.name, name)
                 continue
             func = getattr(child, "func", None)
-            if isinstance(child, ast.Call) and getattr(func, "attr", None) == attr:
+            if isinstance(child, ast.Call) and attr in (
+                getattr(func, "attr", None), getattr(func, "id", None)
+            ):
                 found.append((name, owner, child.lineno))
             visit(child, owner, name)
 
@@ -38,3 +43,11 @@ def test_beta_only_in_stick_weights():
     # exactly one call: an empty source directory fails here too
     calls = _calls("beta")
     assert [(f, owner) for f, owner, _ in calls] == [("priors.py", "stick_weights")]
+
+
+def test_bounded_reduce_callers():
+    calls = _calls("_bounded_reduce")
+    assert sorted((f, owner) for f, owner, _ in calls) == [
+        ("mixture.py", "_log_density"),
+        ("posterior.py", "_exact_draw"),
+    ]
