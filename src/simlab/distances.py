@@ -121,10 +121,19 @@ def mc_distance(
         if samples - n_p > 0:
             parts.append(sample_law(q, samples - n_p, rng))
         z = np.concatenate(parts)
+    else:
+        z = sample_law(p, samples, rng)
+    lp = log_mixture_density(p, z)
+    lq = lp if q is p else log_mixture_density(q, z)  # a law against itself: one evaluation
+    if metric in ("KL", "V"):
+        if not np.all(np.isfinite(lp)):
+            raise NonFiniteDensityError("non-finite sample density under p")
+        d = lp - np.maximum(lq, lp + math.log(_RATIO_FLOOR))
+        h = d if metric == "KL" else d**2
+    else:
         # both integrands depend on the log ratio only: |p - q| / (p + q) =
         # tanh(|d| / 2) and 2 - 4 sqrt(pq) / (p + q) = 2 - 2 / cosh(d / 2)
-        lp = log_mixture_density(p, z)  # a law against itself: one evaluation
-        d = lp - (lp if q is p else log_mixture_density(q, z))
+        d = lp - lq
         if metric == "TV":
             h = np.tanh(np.abs(d) / 2.0)
         else:
@@ -132,21 +141,8 @@ def mc_distance(
                 h = 2.0 - 2.0 / np.cosh(d / 2.0)
         if not np.all(np.isfinite(h)):
             raise NonFiniteDensityError("non-finite density ratio in TV/H2 estimate")
-        value = float(np.mean(h))
-        se = float(np.std(h, ddof=1) / math.sqrt(samples))
-        return DistanceEstimate(value, se, samples)
-
-    z = sample_law(p, samples, rng)
-    lp = log_mixture_density(p, z)
-    lq = lp if q is p else log_mixture_density(q, z)
-    if not np.all(np.isfinite(lp)):
-        raise NonFiniteDensityError("non-finite sample density under p")
-    log_floor = math.log(_RATIO_FLOOR)
-    lq = np.maximum(lq, lp + log_floor)
-    diff = lp - lq
-    vals = diff if metric == "KL" else diff**2
-    value = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(samples))
+    value = float(np.mean(h))
+    se = float(np.std(h, ddof=1) / math.sqrt(samples))
     return DistanceEstimate(value, se, samples)
 
 

@@ -154,7 +154,8 @@ def _node_stride(law: MixtureLaw, absz: np.ndarray, w: np.ndarray) -> int:
     # orders n >= a - 1 with e^{-a} I_{n+1} <= (a/2)^{n+1} / (n+1)! <= tail; as
     # I_{r+1} / I_r <= a / (2r + 2) <= 1/2 above, the rest hold 2 tail a side
     r = np.arange(1, k0 + 1)
-    lead = r * np.log(a[:, None] / 2.0) - np.cumsum(np.log(r))
+    with np.errstate(divide="ignore"):  # a / 2 may underflow to 0: order 0
+        lead = r * np.log(a[:, None] / 2.0) - np.cumsum(np.log(r))
     ok = (lead <= math.log(1e-3 * _NODE_TOL / k0) - log_gain) & (r >= a[:, None])
     # past e^600 a Bessel product that underflowed could still matter
     if log_gain > 600.0 or not np.all(ok.any(axis=1)):

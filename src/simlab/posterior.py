@@ -7,7 +7,7 @@ latent per-curve shifts make the shape update conjugate.  The sampler
 moves are:
 
 * shifts given shape and mixing law: with the Dirichlet prior a
-  categorical over the atoms by the two-level inverse CDF; with the smooth
+  categorical over the atoms by inverse CDF; with the smooth
   prior exact rejection from a block envelope on the grid (``isqrt(grid)``
   points per block, each curve's trigonometric logit bounded on a block by
   its value at the centre plus ``half-width * sum_k 4 pi |k| |b_k|``; a curve
@@ -563,28 +563,13 @@ def _exact_draw(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray, rng) -> np.
 
 def _inverse_cdf(weights: np.ndarray, u: np.ndarray, out: np.ndarray, at) -> np.ndarray:
     """Write to ``out[at]`` one index per row of the nonnegative ``weights`` for
-    its uniform ``u[at]``, by a two-level inverse CDF, and return the row totals.
+    its uniform ``u[at]`` by inverse CDF, and return the row totals.
 
-    ``u`` scaled by the row total picks a block of ``isqrt(k)`` entries and
-    its remainder an entry in it; each is held below its total, so no
-    zero-probability index.  Rows are zero-padded to whole blocks, so the
-    block sums are one ``einsum`` and the chosen blocks one gather over a
-    reshape."""
-    rows, k = weights.shape
-    width, r = math.isqrt(k), np.arange(rows)
-    pad = -k % width
-    if pad:  # a partial last block
-        weights = np.hstack([weights, np.zeros((rows, pad))])
-    blocks = weights.reshape(rows, -1, width)
-    cdf = np.zeros((rows, blocks.shape[1] + 1))  # cumulative block sums after a 0
-    np.cumsum(np.einsum("ijk->ij", blocks), axis=1, out=cdf[:, 1:])
+    The cumulative sums overwrite ``weights``; ``u`` scaled by the row total
+    is held below it, so no zero-probability index."""
+    cdf = np.cumsum(weights, axis=1, out=weights)
     total = cdf[:, -1]
-    u = u[at] * total
-    # a zero total (a bound-shifted row to be redone) would count every block
-    block = np.minimum(_search(cdf[:, 1:], u), blocks.shape[1] - 1)
-    u -= cdf[r, block]
-    inside = blocks[r, block]
-    out[at] = block * width + _search(np.cumsum(inside, axis=1, out=inside), u)
+    out[at] = _search(cdf, u[at] * total)
     return total
 
 

@@ -199,6 +199,8 @@ class FourierDensity(ShiftDistribution):
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
+        if not np.all(np.isfinite(c)):
+            raise ValueError("field 'coeffs': coefficients must be finite")
         if c.ndim != 1 or c.size % 2 != 1:
             raise ValueError("coefficients must have odd length (k = -K..K)")
         object.__setattr__(self, "coeffs", c)

@@ -5,7 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simlab import mixture
@@ -80,6 +80,8 @@ class TestNodeRule:
         scale=st.floats(0.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    # rows so small that an amplitude's half underflows to 0
+    @example(cutoff=1, kind="raised_cosine", m=64, budget=64, scale=5e-324, seed=416)
     def test_within_tolerance_of_full_budget(self, cutoff, kind, m, budget, scale, seed):
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=2 * cutoff + 1) + 1j * rng.normal(size=2 * cutoff + 1)

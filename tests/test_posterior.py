@@ -225,8 +225,8 @@ class _Recording:
 
 def _categorical(logits, rng):
     """Reference draw on explicit logits (overwritten): one index per row with
-    probability proportional to ``exp(logits)``, by the sampler's two-level
-    search with one uniform per row."""
+    probability proportional to ``exp(logits)``, by the sampler's inverse CDF
+    with one uniform per row."""
     logits -= logits.max(axis=1, keepdims=True)
     out = np.empty(logits.shape[0], dtype=int)
     u = rng.random(logits.shape[0])
@@ -297,7 +297,8 @@ class TestCategorical:
         idx = _categorical(logits.copy(), _ConstantUniform(u))
         assert np.all(p[np.arange(len(idx)), idx] > 0.0)
 
-    # isqrt(k)-blocks: k = 7, 1000 and 1025 leave a partial last block
+    # widths from one entry to past the smooth grid, squares and not; the
+    # last-only rows put all mass on a trailing run of entries
     @pytest.mark.parametrize("k", [1, 2, 7, 30, 100, 1000, 1024, 1025])
     def test_same_index_as_single_level_search(self, k):
         rng = np.random.default_rng(k)
@@ -318,9 +319,9 @@ class TestCategorical:
             got = _categorical(logits.copy(), _ConstantUniform(u))
             assert np.all(p[np.arange(len(got)), got] > 0.0)
 
-    # rows where the top uniform, less the chosen block's lower sum, reaches
-    # that block's own total: unless held below it, the search runs past
-    # the block's last positive entry (for the second row, past the row)
+    # rows where the top uniform, scaled by the row total, reaches it: unless
+    # held below the total, the search runs past the row (the first row ends
+    # in zero-probability entries, the second in a small positive one)
     @pytest.mark.parametrize(
         "row",
         [
@@ -350,6 +351,23 @@ class TestCategorical:
         idx = _categorical(logits.copy(), _ConstantUniform(u))
         assert p[0, idx[0]] > 0.0
 
+    def test_index_array_writes_only_its_rows(self):
+        # the redo of floored rows passes an index array, not a slice
+        rng = np.random.default_rng(24)
+        weights = rng.random((4, 50)) * (rng.random((4, 50)) < 0.5)
+        weights[:, 0] = 1.0
+        weights[1] = 0.0  # a zero total: a bound-shifted row to be redone
+        u, at = rng.random(10), np.array([7, 2, 5, 9])
+        out = np.full(10, -1)
+        totals = _inverse_cdf(weights.copy(), u, out, at)
+        np.testing.assert_allclose(totals, weights.sum(axis=1), rtol=1e-12, atol=0.0)
+        assert np.all(np.delete(out, at) == -1)
+        for row in (0, 2, 3):
+            idx, cdf = out[at[row]], np.cumsum(weights[row])
+            v = u[at[row]] * cdf[-1]
+            assert weights[row, idx] > 0.0
+            assert (cdf[idx - 1] if idx else 0.0) <= v < cdf[idx]
+
 
 def _explicit_logits(b, ks, x, log_w):
     """Reference shift logits ``log w_j + 2 Re sum_k b_k e^{2 pi i k x_j}`` from
@@ -372,7 +390,7 @@ class TestCategoricalProduct:
 
     # the smooth prior's 1,024 grid (n = 400), the Dirichlet prior's 100
     # atoms (n = 800) and its atom draw (8 clusters), and a 1,000 grid,
-    # which isqrt(1000) = 31 does not divide
+    # not a power of two
     @pytest.mark.parametrize("n, m", [(400, 1024), (800, 100), (8, 1024), (300, 1000)])
     @pytest.mark.parametrize("level", [1, 2])
     def test_same_index_as_categorical(self, n, m, level):

@@ -60,10 +60,11 @@ class TestInvariants:
             FourierDensity(np.array([0.9, 1.0, 0.9], dtype=complex))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.filterwarnings("error")
     def test_fourier_non_finite_refused(self, bad):
-        # a non-finite pair passes the Hermitian check; the synthesis refuses it
-        with pytest.raises(ValueError, match="coefficients must be finite"):
+        # refused before the Hermitian check, which NaN would pass and an
+        # infinite pair would reach with a RuntimeWarning
+        with pytest.raises(ValueError, match="field 'coeffs': coefficients must be finite"):
             FourierDensity(np.array([bad, 1.0, bad], dtype=complex))
 
     def test_json_round_trip(self):
