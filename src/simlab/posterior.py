@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import FourierSeries, project, rotate
-from .mixture import MixtureLaw, _bounded_reduce, log_likelihood
+from .mixture import _SUM_FLOOR, MixtureLaw, _bounded_reduce, _row_reduce, log_likelihood
 from .model import ObservationSet, simulate
 from .distances import mc_distance
 from .priors import (
@@ -72,6 +72,8 @@ SHIFT_GRID = 1024
 _SLACK_MAX = 1.5
 # proposals per pending curve in each rejection round after the first
 _RETRY_PROPOSALS = 4
+# largest sum of relative weights past an exact draw's certified prefix of candidates
+_PREFIX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -207,6 +209,7 @@ class _DirichletShifts:
         base = cfg.base_density
         self.base = np.maximum(np.interp(self.grid, base.grid, base.values), 1e-300)
         self.log_base = np.log(self.base)
+        self.atom_factors = {}  # the atom draw's factor at each window width met
 
     def candidates(self) -> np.ndarray:
         return self.atoms
@@ -217,7 +220,7 @@ class _DirichletShifts:
     def draw(self, b: np.ndarray, rng) -> np.ndarray:
         """One atom index per row of ``b`` (a centred window of the columns of
         ``y conj(theta)``) from its conditional, by the inverse CDF."""
-        return _exact_draw(b, self.basis, self.log_weights(), rng)
+        return _exact_draw(b, _draw_factor(self.basis, b.shape[1], self.log_weights()), rng)
 
     def update(self, assignments, y, theta, rng):
         # y and theta hold the active columns only, a centred window of ks
@@ -233,7 +236,11 @@ class _DirichletShifts:
         u = rng.random(k - int(occupied.sum()))
         idx[~occupied] = categorical(self.base, u)
         b = cluster_sums[occupied] * np.conj(theta)
-        idx[occupied] = _exact_draw(b, self.grid_basis, self.log_base, rng)
+        factor = self.atom_factors.get(b.shape[1])
+        if factor is None:
+            factor = _draw_factor(self.grid_basis, b.shape[1], self.log_base)
+            self.atom_factors[b.shape[1]] = factor
+        idx[occupied] = _exact_draw(b, factor, rng)
         self.atoms, self.basis = self.grid[idx], self.grid_basis[:, idx]
 
     def law(self) -> Discrete:
@@ -292,7 +299,8 @@ class _SmoothShifts:
         far = slack > _SLACK_MAX
         near = np.flatnonzero(~far)
         if near.size < n:
-            idx[far] = _exact_draw(b[far], self.basis, self.log_weights(), rng)
+            factor = _draw_factor(self.basis, width, self.log_weights())
+            idx[far] = _exact_draw(b[far], factor, rng)
             b, slack = b[near], slack[near]
         coef = np.hstack([2.0 * b.real, -2.0 * b.imag])
         bound = coef @ np.vstack(_window(self.centre_basis, width))
@@ -539,25 +547,56 @@ def _window(basis: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return basis[lo : lo + width], basis[p + lo : p + lo + width]
 
 
-def _exact_draw(b: np.ndarray, basis: np.ndarray, log_w: np.ndarray, rng) -> np.ndarray:
+def _draw_factor(basis: np.ndarray, width: int, log_w: np.ndarray) -> np.ndarray:
+    """``[cos; sin; log w; 1]`` at the window's rows of ``basis``: the right
+    factor of :func:`_exact_draw` for ``width`` active frequencies."""
+    return np.vstack([*_window(basis, width), log_w, np.ones_like(log_w)])
+
+
+def _exact_draw(b: np.ndarray, factor: np.ndarray, rng) -> np.ndarray:
     """One candidate index per row of ``b`` from its shift conditional,
     without forming the logits.
 
     ``b`` holds a centred window of the columns of ``y conj(theta)`` (the
-    active frequencies), ``basis`` is ``[cos; sin](2 pi k x)`` over all of
-    them.  The logit of candidate ``x_j`` is ``log w_j + 2 Re sum_k b_k
-    e^{2 pi i k x_j}``, at most ``s = 2 sum_k |b_k| + max_j log w_j``, so
-    the rows ``[2 Re b, -2 Im b, 1, -s]`` times ``[cos; sin; log w; 1]`` at
-    the window's rows of the basis are the logits less that bound.  One
-    uniform per row is drawn first; :func:`mixture._bounded_reduce` then runs
-    :func:`_inverse_cdf` at each block's row indices, a row redone at its
-    exact maximum (total below ``e^-600``) with the same uniform."""
-    n = b.shape[0]
-    factor = np.vstack([*_window(basis, b.shape[1]), log_w, np.ones_like(log_w)])
-    s = 2.0 * np.abs(b).sum(axis=1) + log_w.max()
+    active frequencies), ``factor`` is :func:`_draw_factor` at its width.  The
+    logit of candidate ``x_j``, ``log w_j + 2 Re sum_k b_k e^{2 pi i k x_j}``,
+    is at most ``s = 2 sum_k |b_k| + max_j log w_j``, so the rows ``[2 Re b,
+    -2 Im b, 1, -s]`` times ``factor`` are the logits less that bound, and
+    each ``exp`` is at most ``w_j / max w``.  One uniform per row is drawn
+    first.  ``m`` is the shortest prefix whose suffix of ``w_j / max w`` is at
+    most ``_PREFIX_TOL``: a row's total lies between its head total (``m``
+    columns, whose cumulative sums are the full row's first ones) and that
+    plus twice the suffix, ``k`` ulps wider.  A row keeps its head index when
+    the count of cumulative masses at or below the scaled uniform is the same
+    at both ends, below ``m``, and its head total is at least ``e^-600``.
+    The other rows, and all rows when the last weight alone exceeds the
+    tolerance (an O(1) test), take :func:`mixture._bounded_reduce` with
+    :func:`_inverse_cdf` on all ``k`` columns and the same uniforms.  So the
+    draws are the full inverse CDF's, bit for bit; on ``contraction-dp``'s
+    chains the median ``m`` is about 28 of 100."""
+    n, k, log_w = b.shape[0], factor.shape[1], factor[-2]
+    top = log_w.max()
+    s = 2.0 * np.abs(b).sum(axis=1) + top
     rows = np.hstack([2.0 * b.real, -2.0 * b.imag, np.ones((n, 1)), -s[:, None]])
     u, idx = rng.random(n), np.empty(n, dtype=int)
-    _bounded_reduce(rows, factor, lambda w, at: _inverse_cdf(w, u, idx, at))
+    rest = np.arange(n)
+    if math.exp(log_w[-1] - top) <= _PREFIX_TOL:
+        suffix = np.cumsum(np.exp(log_w[::-1] - top))[::-1]
+        m = int(np.count_nonzero(suffix > _PREFIX_TOL))
+        tail, sure = 2.0 * suffix[m], np.zeros(n, dtype=bool)
+
+        def head(w, at):
+            total = _inverse_cdf(np.exp(w, out=w), u, idx, at)  # w: the cumulative sums
+            hi = total * (1.0 + k * np.finfo(float).eps) + tail
+            r = np.flatnonzero(idx[at] < m)  # their next cumulative mass is in the head
+            v = np.minimum(u[at][r] * hi[r], np.nextafter(hi[r], 0.0))
+            sure[at][r] = (w[r, idx[at][r]] > v) & (total[r] >= _SUM_FLOOR)
+            return total
+
+        _row_reduce(rows, factor[:, :m], head)
+        rest = np.flatnonzero(~sure)
+    if rest.size:
+        _bounded_reduce(rows[rest], factor, lambda w, at: _inverse_cdf(w, u, idx, rest[at]))
     return idx
 
 

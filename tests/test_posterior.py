@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from simlab import posterior
 from simlab.fourier import FourierSeries, project
-from simlab.mixture import MixtureLaw, log_mixture_density
+from simlab.mixture import MixtureLaw, _bounded_reduce, log_mixture_density
 from simlab.model import ObservationSet, simulate
 from simlab.posterior import (
     GibbsSampler,
@@ -21,6 +22,7 @@ from simlab.posterior import (
     importance_posterior,
     shift_measure,
     _cluster_sums,
+    _draw_factor,
     _exact_draw,
     _fourier_basis,
     _inverse_cdf,
@@ -28,7 +30,12 @@ from simlab.posterior import (
     _SmoothShifts,
     _window,
 )
-from simlab.priors import DirichletPriorConfig, SievePriorConfig, SmoothPriorConfig
+from simlab.priors import (
+    DirichletPriorConfig,
+    SievePriorConfig,
+    SmoothPriorConfig,
+    stick_weights,
+)
 from simlab.shifts import (
     Discrete,
     GridDensity,
@@ -369,6 +376,11 @@ class TestCategorical:
             assert (cdf[idx - 1] if idx else 0.0) <= v < cdf[idx]
 
 
+def _draw(b, basis, log_w, rng):
+    """``_exact_draw`` with the factor at the window of ``b``."""
+    return _exact_draw(b, _draw_factor(basis, b.shape[1], log_w), rng)
+
+
 def _explicit_logits(b, ks, x, log_w):
     """Reference shift logits ``log w_j + 2 Re sum_k b_k e^{2 pi i k x_j}`` from
     complex exponentials, over the frequencies ``ks`` of the columns of ``b``."""
@@ -396,7 +408,7 @@ class TestCategoricalProduct:
     def test_same_index_as_categorical(self, n, m, level):
         rng = np.random.default_rng(1000 * level + m)
         b, ks, x, basis, log_w = _draw_case(rng, n, m, level)
-        got = _exact_draw(b, basis, log_w, np.random.default_rng(7))
+        got = _draw(b, basis, log_w, np.random.default_rng(7))
         want = _categorical(_explicit_logits(b, ks, x, log_w), np.random.default_rng(7))
         np.testing.assert_array_equal(got, want)
 
@@ -415,7 +427,7 @@ class TestCategoricalProduct:
         bound = 2.0 * np.abs(b).sum(axis=1) + log_w.max()  # the draw's row shift
         gap = bound[far] - logits[far].max(axis=1)
         assert np.all(gap > 600.0 + math.log(1024))
-        got = _exact_draw(b, basis, log_w, np.random.default_rng(8))
+        got = _draw(b, basis, log_w, np.random.default_rng(8))
         np.testing.assert_array_equal(got, _categorical(logits, np.random.default_rng(8)))
 
     @settings(max_examples=200, deadline=None)
@@ -437,7 +449,7 @@ class TestCategoricalProduct:
         u = data.draw(st.floats(0.0, 1.0))
         ks = np.arange(-2, 3)
         x = np.arange(m) / m
-        idx = _exact_draw(b, _fourier_basis(ks, x), log_w, _ConstantUniform(u))
+        idx = _draw(b, _fourier_basis(ks, x), log_w, _ConstantUniform(u))
         logits = _explicit_logits(b, ks[2 - level : 3 + level], x, log_w)
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         assert np.all(p[np.arange(n), idx] > 0.0)
@@ -488,6 +500,145 @@ class TestCategoricalProduct:
         # the sampler passes a column window of its curves
         np.add.at(want := np.zeros((100, 5), dtype=complex), assignments, y[:, 2:7])
         assert np.array_equal(_cluster_sums(assignments, y[:, 2:7], 100), want)
+
+
+def _full_draw(b, basis, log_w, u):
+    """Reference draw on every candidate: the bound-shifted product, ``exp``
+    and inverse CDF of all the columns through ``mixture._bounded_reduce``,
+    with the uniforms ``u``, one per row."""
+    s = 2.0 * np.abs(b).sum(axis=1) + log_w.max()
+    rows = np.hstack([2.0 * b.real, -2.0 * b.imag, np.ones((len(b), 1)), -s[:, None]])
+    idx = np.empty(len(b), dtype=int)
+    factor = _draw_factor(basis, b.shape[1], log_w)
+    _bounded_reduce(rows, factor, lambda w, at: _inverse_cdf(w, u, idx, at))
+    return idx
+
+
+def _stick_log_weights(counts, seed):
+    """Log stick weights given cluster counts, floored at 1e-300 as the
+    Dirichlet move floors them."""
+    w = stick_weights(np.asarray(counts, dtype=float), 1.0, np.random.default_rng(seed))
+    return np.log(np.maximum(w, 1e-300))
+
+
+def _counts(truncation, occupied):
+    counts = np.zeros(truncation)
+    counts[list(occupied)] = list(occupied.values())
+    return counts
+
+
+# the ends of the unit interval, and uniforms close below 1 whose scaled
+# value falls among the last cumulative masses, past a prefix or just inside
+_EDGE_UNIFORMS = [0.0, 0.5, 1.0 - 2.0**-53, *(1.0 - 10.0**-j for j in range(2, 16))]
+
+
+class TestCertifiedPrefix:
+    """``_exact_draw`` settles most rows on a certified prefix of the
+    candidates: every row's index is that of the draw on all of them."""
+
+    @staticmethod
+    def _check(log_w, level=2, scale=1.0, seed=0, far=()):
+        rng = np.random.default_rng(seed)
+        b, ks, _, _, _ = _draw_case(rng, 300, log_w.size, level, scale)
+        x = rng.random(log_w.size)  # atoms off the grid, as the Dirichlet move's
+        basis = _fourier_basis(np.arange(-2, 3), x)
+        for i, modulus in zip(range(0, 300, 7), far):
+            # misaligned phases: the row's bound sits about 3.5 modulus above its logits
+            b[i] = modulus * np.exp(0.7j * i * np.arange(-level, level + 1))
+            b[i] *= np.array([-1.0, 1.0, 0.0, 1.0, -1.0])[2 - level : 3 + level]
+        for u in _EDGE_UNIFORMS:
+            got = _draw(b, basis, log_w, _ConstantUniform(u))
+            np.testing.assert_array_equal(got, _full_draw(b, basis, log_w, np.full(300, u)))
+        got = _draw(b, basis, log_w, np.random.default_rng(seed + 1))
+        u = np.random.default_rng(seed + 1).random(300)
+        np.testing.assert_array_equal(got, _full_draw(b, basis, log_w, u))
+        logits = _explicit_logits(b, ks, x, log_w)
+        want = _categorical(logits.copy(), np.random.default_rng(seed + 1))
+        np.testing.assert_array_equal(got, want)
+        for u in (0.0, 0.5):
+            got = _draw(b, basis, log_w, _ConstantUniform(u))
+            np.testing.assert_array_equal(got, _categorical(logits.copy(), _ConstantUniform(u)))
+        # at the top the two sums of the last, negligible masses round apart:
+        # the pick is the full draw's (above) and has positive probability
+        got = _draw(b, basis, log_w, _ConstantUniform(1.0 - 2.0**-53))
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert np.all(p[np.arange(300), got] > 0.0)
+
+    @pytest.mark.parametrize("occupied", [{0: 300, 1: 200, 2: 150, 3: 100, 5: 50}, {90: 800},
+                                          {0: 400, 3: 300, 41: 100}, {}],
+                             ids=["leading", "at-90", "spread", "prior"])
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("scale", [0.05, 1.0])
+    def test_stick_weights(self, occupied, level, scale):
+        log_w = _stick_log_weights(_counts(100, occupied), seed=len(occupied) + level)
+        self._check(log_w, level, scale, seed=level)
+
+    # no prefix: the last weight alone is above the tolerance
+    @pytest.mark.parametrize("truncation", [1, 2, 5])
+    def test_short_truncations(self, truncation):
+        for seed in range(3):
+            log_w = _stick_log_weights(_counts(truncation, {0: 10}), seed)
+            self._check(log_w, seed=seed)
+
+    def test_uniform_weights(self):
+        self._check(np.zeros(100))
+
+    def test_weights_at_the_floor(self):
+        # the last entry above the floor carries 1e-3: it must be in the prefix
+        w = np.zeros(100)
+        w[:4] = [0.5, 0.3, 0.199, 1e-3]
+        self._check(np.log(np.maximum(w, 1e-300)), scale=0.05)
+        self._check(np.log(np.maximum(w, 1e-300)), scale=1.0)
+
+    # rows whose totals fall below e^-600 (200) or to zero (1000) on the prefix
+    @pytest.mark.parametrize("modulus", [200.0, 1000.0])
+    def test_far_rows(self, modulus):
+        log_w = _stick_log_weights(_counts(100, {0: 300, 2: 200}), seed=3)
+        self._check(log_w, far=[modulus] * 43)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 120),
+        lead=st.integers(1, 120),
+        ratio=st.floats(1e-3, 0.9),
+        level=st.integers(1, 2),
+        scale=st.floats(0.0, 20.0),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_geometric_tails(self, k, lead, ratio, level, scale, u, seed):
+        # a random lead, then weights falling by ``ratio`` each, floored
+        rng = np.random.default_rng(seed)
+        lead = min(lead, k)
+        log_w = np.concatenate([rng.normal(size=lead),
+                                math.log(ratio) * np.arange(1, k - lead + 1)])
+        log_w = np.maximum(log_w, math.log(1e-300))
+        b, _, _, _, _ = _draw_case(rng, 20, k, level, scale)
+        basis = _fourier_basis(np.arange(-2, 3), rng.random(k))
+        got = _draw(b, basis, log_w, _ConstantUniform(u))
+        np.testing.assert_array_equal(got, _full_draw(b, basis, log_w, np.full(20, u)))
+
+    def test_prefix_settles_most_shift_rows(self, monkeypatch):
+        # an equivalence test passes on a prefix that always falls back: count
+        # the rows that reach the full path from the shift draw (100 atoms;
+        # the atom draw's rows have the 1,024 grid points)
+        obs = simulate(TRUTH, raised_cosine_density(), 200, 4, seed=51)
+        prior = PriorConfig(SievePriorConfig.adaptive(200),
+                            DirichletPriorConfig(uniform_density(512), 1.0, 100))
+        sampler = GibbsSampler(obs, prior, np.random.default_rng(52))
+        for _ in range(50):  # burn-in
+            sampler.sweep()
+        rows = {100: 0, 1024: 0}
+
+        def counting(r, factor, reduce):
+            rows[factor.shape[1]] += r.shape[0]
+            return _bounded_reduce(r, factor, reduce)
+
+        monkeypatch.setattr(posterior, "_bounded_reduce", counting)
+        for _ in range(100):
+            sampler.sweep()
+        assert rows[1024] >= 100  # the atom draw's rows: the count sees the calls
+        assert rows[100] < 0.1 * 100 * 200
 
 
 def _smooth_move(m, l_max=4, seed=0):
@@ -590,7 +741,7 @@ class TestBlockRejection:
         assert np.array_equal(_slack(move, b) > _SLACK_MAX, far)
         # the far rows are drawn first, by the inverse CDF on their own
         got = move.draw(b, _CappedUniforms(np.random.default_rng(42), cap=3 * 400 * 40))
-        want = _exact_draw(b[far], move.basis, move.log_weights(), np.random.default_rng(42))
+        want = _draw(b[far], move.basis, move.log_weights(), np.random.default_rng(42))
         np.testing.assert_array_equal(got[far], want)
         idx = _repeated_draw(move, b, 2000, seed=43)
         logits = _explicit_logits(b, ks, x, move.log_weights())
