@@ -77,4 +77,4 @@ from .nets import (
     identifiability_probe,
     make_fano_net,
 )
-from .special import a_n, a_n_quadrature, bessel_i, normal_cdf, sample_complex_gaussian
+from .special import a_n, a_n_quadrature, bessel_i, normal_cdf

@@ -292,13 +292,15 @@ def _cmd_fano_net(args) -> int:
         cert = fano_tv_certificate(net, args.samples, rng)
         rows = []
         for j, (m, mm) in enumerate(zip(cert.matched, cert.mismatched), start=1):
+            se = math.hypot(m.std_error, mm.std_error)  # 0 for member 1, the reference
+            z = (mm.value - m.value) / se if se > 0.0 else ""
             rows.append(
-                [j, m.value, m.std_error, mm.value, mm.std_error,
+                [j, m.value, m.std_error, mm.value, mm.std_error, z,
                  bool(j == 1 or m.value < mm.value)]
             )
         _write_csv(
             os.path.join(args.out, "certificate.csv"),
-            ["j", "matched_tv", "matched_se", "mismatched_tv", "mismatched_se",
+            ["j", "matched_tv", "matched_se", "mismatched_tv", "mismatched_se", "z",
              "matched_below_mismatched"],
             rows,
         )

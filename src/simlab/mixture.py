@@ -37,7 +37,7 @@ _MIN_QUAD = 64
 _NODE_TOL = 1e-13
 # Exponents per block of the shift sums: 512 KB, so a block stays in L2.
 _BLOCK = 65_536
-# A split call's bulk: rows with each |z_k| at most this quantile of its column.
+# A split call's bulk: rows with each |b_k| at most this quantile of its column.
 # Fano certificate laws (30,000 rows): 0.99 still thins to 128 of 256, 0.995 not.
 _BULK_QUANTILE = 0.98
 # Least rows x nodes for the split: halving them saves 1.25 ns each against the
@@ -94,16 +94,13 @@ class MixtureLaw:
         return self.theta.ks
 
     @property
+    def active_coeffs(self) -> np.ndarray:
+        return self.theta.coeffs[self.active_freqs + self.theta.cutoff]
+
+    @property
     def dim(self) -> int:
         """Complex dimension ``p`` of the observed vector."""
         return self.active_freqs.size
-
-
-def _means(law: MixtureLaw, phi: np.ndarray) -> np.ndarray:
-    """Matrix of mixture means ``(theta . phi_i)_k``, shape (K, p)."""
-    ks = law.active_freqs
-    coeffs = law.theta.coeffs[ks + law.theta.cutoff]
-    return coeffs[None, :] * np.exp(-2j * np.pi * np.outer(phi, ks))
 
 
 def log_gaussian_density(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -128,14 +125,14 @@ def _exp_rows(z, log_density: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if np.ndim(z) <= 1 else out
 
 
-def _node_stride(law: MixtureLaw, absz: np.ndarray, w: np.ndarray) -> int:
+def _node_stride(law: MixtureLaw, absb: np.ndarray, w: np.ndarray) -> int:
     """Largest ``s`` dividing the budget ``K0 = w.size`` such that keeping every
     ``s``-th node moves no row's shift sum by over ``_NODE_TOL`` (relative).
 
     With ``K = K0 / s`` the sums differ by the K0-point DFT coefficients of
     ``w e^E`` at the nonzero multiples of K, ``E`` a row's node exponent, whose
-    cosine at ``|k|`` has amplitude at most ``a = sum_{+-k} 2 max|z_k| |theta_k|``
-    (``absz`` holds the rows' moduli ``|z|``).
+    cosine at ``|k|`` has amplitude at most ``a = sum_{+-k} 2 max_j |b_jk|``
+    (``absb`` holds the moduli of the rows ``b = z conj(theta)``).
     By Jacobi-Anger they are at most ``e^{sum a} |W| * B`` (``W`` the weights'
     DFT, ``B`` the direct convolution of the scaled ``I_r(a)`` put at ``r|k|``);
     Jensen bounds the sum below by ``e^{-sum a |W_k|}``; renormalizing adds
@@ -145,9 +142,7 @@ def _node_stride(law: MixtureLaw, absz: np.ndarray, w: np.ndarray) -> int:
     spec = np.abs(np.fft.fft(w))
     spec[spec < 64.0 * np.finfo(float).eps * spec[0]] = 0.0  # tabulation rounding
     # column maxima of a Fortran copy: numpy reduces narrow C arrays slowly
-    zmax = np.asfortranarray(absz).max(axis=0)
-    theta = np.abs(law.theta.coeffs[ks + law.theta.cutoff])
-    amp = np.bincount(np.abs(ks), 2.0 * zmax * theta)
+    amp = np.bincount(np.abs(ks), 2.0 * np.asfortranarray(absb).max(axis=0))
     freqs = np.flatnonzero(amp[1:]) + 1
     a = amp[freqs]
     log_gain = float(np.sum(a * (1.0 + spec[freqs % k0])))
@@ -196,23 +191,56 @@ def _budget_nodes(law: MixtureLaw):
     return *g.nodes(k0), isinstance(g, GridDensity) and g.m % k0 == 0
 
 
-def _shift_nodes(law: MixtureLaw, absz: np.ndarray, budget=None):
-    """Shift nodes and weights for rows of moduli ``absz``: the ``budget``'s, or
-    every ``s``-th of them (:func:`_node_stride`), still on grid points."""
+def _shift_nodes(law: MixtureLaw, absb: np.ndarray, budget=None):
+    """Shift nodes and weights for rows ``b`` of moduli ``absb``: the ``budget``'s,
+    or every ``s``-th of them (:func:`_node_stride`), still on grid points."""
     phi, w, on_grid = budget or _budget_nodes(law)
-    step = _node_stride(law, absz, w) if on_grid else 1
+    step = _node_stride(law, absb, w) if on_grid else 1
     if step > 1:
         phi, w = phi[::step], w[::step] / w[::step].sum()
     return phi, w
 
 
-def _row_reduce(rows: np.ndarray, b: np.ndarray, reduce, index=None) -> np.ndarray:
-    """``reduce(e, at)`` of each block ``e`` of ``rows @ b``, ``_BLOCK``
+def _fourier_basis(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The ``(2p, len(x))`` real basis ``[cos; sin](2 pi k x)`` over ``ks``."""
+    arg = 2.0 * np.pi * np.outer(ks, x)
+    return np.concatenate([np.cos(arg), np.sin(arg)])
+
+
+def _window(basis: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``cos`` and ``sin`` rows of ``basis = [cos; sin]`` at the centred
+    window of ``width`` frequencies."""
+    p = basis.shape[0] // 2
+    lo = (p - width) // 2
+    return basis[lo : lo + width], basis[p + lo : p + lo + width]
+
+
+def _draw_factor(basis: np.ndarray, width: int, log_w: np.ndarray) -> np.ndarray:
+    """``[cos; sin; log w; 1]`` at the window's rows of ``basis``: the right
+    factor of :func:`_shifted_rows` for ``width`` active frequencies."""
+    return np.vstack([*_window(basis, width), log_w, np.ones_like(log_w)])
+
+
+def _shifted_rows(b: np.ndarray, absb: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """Rows ``[2 Re b, -2 Im b, 1, -s]`` (``absb = |b|``): times :func:`_draw_factor`,
+    the exponents of ``sum_x w_x e^{2 Re sum_k b_k e^{2 pi i k x}}`` less their
+    bound ``s = 2 sum_k |b_k| + max log w``, so every ``exp`` is at most 1."""
+    n, p = b.shape
+    rows = np.empty((n, 2 * p + 2))
+    np.multiply(b.real, 2.0, out=rows[:, :p])
+    np.multiply(b.imag, -2.0, out=rows[:, p : 2 * p])
+    rows[:, 2 * p] = 1.0
+    rows[:, -1] = -(2.0 * np.einsum("ij->i", absb) + log_w.max())
+    return rows
+
+
+def _row_reduce(rows: np.ndarray, factor: np.ndarray, reduce, index=None) -> np.ndarray:
+    """``reduce(e, at)`` of each block ``e`` of ``rows @ factor``, ``_BLOCK``
     exponents at a time in one reused buffer (``reduce`` may overwrite it),
     ``at`` the block's row indices: its slice of ``rows`` or of ``index``.
     A block holds two rows or more: numpy hands a one-row product to gemv,
     whose last bits differ from gemm's, so a lone row is computed twice over."""
-    n, k = rows.shape[0], b.shape[1]
+    n, k = rows.shape[0], factor.shape[1]
     step = max(2, _BLOCK // k)
     expo = np.empty((max(2, min(step, n)), k))
     out = np.empty(n)
@@ -220,81 +248,81 @@ def _row_reduce(rows: np.ndarray, b: np.ndarray, reduce, index=None) -> np.ndarr
         part = rows[lo : lo + step]
         m = part.shape[0]
         pair = part if m > 1 else np.repeat(part, 2, axis=0)
-        e = np.matmul(pair, b, out=expo[: max(m, 2)])[:m]
+        e = np.matmul(pair, factor, out=expo[: max(m, 2)])[:m]
         at = slice(lo, lo + m) if index is None else index[lo : lo + m]
         out[lo : lo + m] = reduce(e, at)
     return out
 
 
-def _bounded_reduce(rows: np.ndarray, b: np.ndarray, reduce):
-    """``reduce`` of each row of ``exp(rows @ b)``, with the shifts: ``rows``
-    are laid out as ``[..., 1, -s]``, the last column the row's shift ``s``
-    against the last row of ``b`` (all ones), ``s`` at or above the row's
-    largest exponent.  A row whose total falls below ``_SUM_FLOOR`` (``s``
-    far above that maximum) is redone with its exact maximum as the shift;
-    ``reduce`` gets each block's row indices in ``rows`` (:func:`_row_reduce`),
-    the redo's among them.  Returns the totals and each row's shift."""
+def _bounded_reduce(rows: np.ndarray, factor: np.ndarray, reduce):
+    """``reduce`` of each row of ``exp(rows @ factor)``, with the shifts:
+    ``rows`` are laid out as ``[..., 1, -s]`` (:func:`_shifted_rows`), the
+    last column the row's shift ``s`` against the last row of ``factor`` (all
+    ones), ``s`` at or above the row's largest exponent.  A row whose total
+    falls below ``_SUM_FLOOR`` (``s`` far above that maximum) is redone with
+    its exact maximum as the shift; ``reduce`` gets each block's row indices
+    in ``rows`` (:func:`_row_reduce`), the redo's among them.  Returns the
+    totals and each row's shift."""
 
     def reduce_exp(e, at):
         return reduce(np.exp(e, out=e), at)
 
-    totals = _row_reduce(rows, b, reduce_exp)
+    totals = _row_reduce(rows, factor, reduce_exp)
     shift = -rows[:, -1]
     low = np.flatnonzero(totals < _SUM_FLOOR)
     if low.size:
         redo = rows[low]
         redo[:, -1] = 0.0
-        shift[low] = _row_reduce(redo, b, lambda e, _: np.max(e, axis=1))
+        shift[low] = _row_reduce(redo, factor, lambda e, _: np.max(e, axis=1))
         redo[:, -1] = -shift[low]
-        totals[low] = _row_reduce(redo, b, reduce_exp, low)
+        totals[low] = _row_reduce(redo, factor, reduce_exp, low)
     return totals, shift
 
 
 def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     """Log mixture density at the rows of ``z`` (shape (N, p) or (p,)).
 
-    The node exponents ``E_i = 2 Re<z, mu_i> - ||mu_i||^2 + log w_i`` are
-    bounded above by ``s(z) = sum_k |z_k| 2 max_i |mu_ik| + max_i (log w_i -
-    ||mu_i||^2)``, and any shift at or above the largest exponent serves the
-    log-sum-exp (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021).  So
-    ``E_i - s(z)`` is one real matrix product ``[Re z, Im z, 1, -s] @ B`` and
-    each block of rows is one product, one ``exp`` and one row sum.  A row
-    whose shifted sum is below ``e^-600`` (far out, phases misaligned) is
-    redone with its exact maximum.  The common ``-||z||^2`` is added last.
-    A large call on a law the node rule may thin takes every row on the nodes
-    certified for the columns' ``_BULK_QUANTILE`` of ``|z_k|``, then redoes
-    the tail rows, with a modulus above it, on the call's own nodes.
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
+    With ``b = z conj(theta)`` on the active frequencies, ``p(z) = pi^{-p}
+    e^{-||z||^2 - ||theta||^2} sum_i w_i e^{2 Re sum_k b_k e^{2 pi i k phi_i}}``:
+    the shift integral that the Gibbs shift draw normalizes.  Each row is
+    shifted by the bound ``s = 2 sum_k |b_k| + max log w`` of its exponents
+    (a log-sum-exp needs no more; Blanchard, Higham & Higham, IMA J. Numer.
+    Anal. 2021), so a block of rows is one product of :func:`_shifted_rows`
+    with :func:`_draw_factor` at the nodes, one ``exp`` and one row sum; a row
+    whose shifted sum is below ``e^-600`` is redone with its exact maximum.
+    ``|b|`` gives the node rule its amplitudes ``2 max_j |b_jk|``.  A large
+    call on a law the rule may thin takes every row on the nodes certified for
+    the columns' ``_BULK_QUANTILE`` of ``|b_k|``, then the tail rows, above
+    it, on the call's own nodes."""
+    z = np.atleast_2d(np.ascontiguousarray(z, dtype=complex))  # rows of [re, im] pairs
     if z.shape[1] != law.dim:
         raise ValueError(f"points must have dimension {law.dim}, got {z.shape[1]}")
-    absz, budget, n = np.abs(z), _budget_nodes(law), z.shape[0]
-    phi, w = _shift_nodes(law, absz, budget)
+    b = z * np.conj(law.active_coeffs)
+    absb, budget, n = np.abs(b), _budget_nodes(law), z.shape[0]
+    phi, w = _shift_nodes(law, absb, budget)
     if budget[2] and n * phi.size >= _SPLIT_MIN:
         kth = int(_BULK_QUANTILE * (n - 1))
-        thr = np.partition(absz, kth, axis=0)[kth]
+        thr = np.partition(absb, kth, axis=0)[kth]
         bulk = _shift_nodes(law, thr[None, :], budget)
         if bulk[0].size < phi.size:
-            out = _log_density(law, z, absz, *bulk)
-            tail = np.flatnonzero((absz > thr).any(axis=1))
-            out[tail] = _log_density(law, z[tail], absz[tail], phi, w)
+            out = _log_density(law, z, b, absb, *bulk)
+            tail = np.flatnonzero((absb > thr).any(axis=1))
+            out[tail] = _log_density(law, z[tail], b[tail], absb[tail], phi, w)
             return out
-    return _log_density(law, z, absz, phi, w)
+    return _log_density(law, z, b, absb, phi, w)
 
 
-def _log_density(law, z, absz, phi, w) -> np.ndarray:
-    """The log density at rows ``z`` (moduli ``absz``) on nodes ``phi``, ``w``."""
-    mu, p = _means(law, phi), law.dim
-    with np.errstate(divide="ignore"):  # zero-weight atoms: log w = -inf
-        const = np.log(w) - np.sum(np.abs(mu) ** 2, axis=1)
-    b = np.vstack([2.0 * mu.real.T, 2.0 * mu.imag.T, const, np.ones(const.size)])
-    shift = np.einsum("ij,j->i", absz, 2.0 * np.abs(mu).max(axis=0)) + const.max()
-    rows = np.hstack([z.real, z.imag, np.ones((z.shape[0], 1)), -shift[:, None]])
-    sums, shift = _bounded_reduce(rows, b, lambda w, _: np.einsum("ij->i", w))
-    with np.errstate(divide="ignore"):
+def _log_density(law, z, b, absb, phi, w) -> np.ndarray:
+    """The log density at rows ``z`` (``b``, ``absb = |b|``) on nodes ``phi``, ``w``."""
+    theta, p = law.active_coeffs, law.dim
+    with np.errstate(divide="ignore"):  # log 0 = -inf: zero-weight atoms, a zero sum
+        log_w = np.log(w)
+        factor = _draw_factor(_fourier_basis(law.active_freqs, phi), p, log_w)
+        rows = _shifted_rows(b, absb, log_w)
+        sums, shift = _bounded_reduce(rows, factor, lambda e, _: np.einsum("ij->i", e))
         out = shift + np.log(sums)
-    sq = np.einsum("ij,ij->i", rows[:, : 2 * p], rows[:, : 2 * p])
-    return out - sq - p * math.log(math.pi)
+    sq = np.einsum("ij,ij->i", z.view(float), z.view(float))
+    return out - sq - (np.vdot(theta, theta).real + p * math.log(math.pi))
 
 
 def mixture_density(law: MixtureLaw, z) -> float | np.ndarray:
@@ -342,6 +370,6 @@ def girsanov_log_ratio(f: MixtureLaw, f0: MixtureLaw, y: np.ndarray) -> float:
 
 def sample_law(law: MixtureLaw, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` vectors from the law: rotate by a shift, add noise."""
-    phi = sample_shift(law.g, size, rng)
-    means = _means(law, phi)
+    phi, ks = sample_shift(law.g, size, rng), law.active_freqs
+    means = law.active_coeffs[None, :] * np.exp(-2j * np.pi * np.outer(phi, ks))
     return means + complex_gaussian_array(rng, means.shape)

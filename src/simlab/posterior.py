@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import FourierSeries, project, rotate
-from .mixture import _SUM_FLOOR, MixtureLaw, _bounded_reduce, _row_reduce, log_likelihood
+from .mixture import _SUM_FLOOR, MixtureLaw, _bounded_reduce, _draw_factor, _fourier_basis
+from .mixture import _row_reduce, _shifted_rows, _window, log_likelihood
 from .model import ObservationSet, simulate
 from .distances import mc_distance
 from .priors import (
@@ -292,21 +293,20 @@ class _SmoothShifts:
         a pending row makes ``_RETRY_PROPOSALS`` proposals and keeps the
         first accepted."""
         n, width = b.shape
+        absb, log_g = np.abs(b), self.log_weights()
         # 1e-12 |b_k| more guards the bound against the rounding of t
         freqs = self.half_width * 4.0 * np.pi * np.abs(np.arange(width) - width // 2)
-        slack = np.abs(b) @ (freqs + 1e-12)
+        slack = absb @ (freqs + 1e-12)
         idx = np.empty(n, dtype=int)
         far = slack > _SLACK_MAX
         near = np.flatnonzero(~far)
         if near.size < n:
-            factor = _draw_factor(self.basis, width, self.log_weights())
-            idx[far] = _exact_draw(b[far], factor, rng)
-            b, slack = b[near], slack[near]
-        coef = np.hstack([2.0 * b.real, -2.0 * b.imag])
+            idx[far] = _exact_draw(b[far], _draw_factor(self.basis, width, log_g), rng)
+            b, absb, slack = b[near], absb[near], slack[near]
+        coef = _shifted_rows(b, absb, log_g)[:, : 2 * width]
         bound = coef @ np.vstack(_window(self.centre_basis, width))
         # g's cumulative masses from 0: a block's mass is a difference of
         # two, and a point inside it is a search of the remainder
-        log_g = self.log_weights()
         cdf = np.zeros(log_g.size + 1)
         np.cumsum(np.exp(log_g - log_g.max()), out=cdf[1:])
         low, mass = cdf[self.edges[:-1]], np.diff(cdf[self.edges])
@@ -533,51 +533,30 @@ def _cluster_sums(assignments: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return np.column_stack(cols).view(complex)
 
 
-def _fourier_basis(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The ``(2p, len(x))`` real basis ``[cos; sin](2 pi k x)`` over ``ks``."""
-    arg = 2.0 * np.pi * np.outer(ks, x)
-    return np.concatenate([np.cos(arg), np.sin(arg)])
-
-
-def _window(basis: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``cos`` and ``sin`` rows of ``basis = [cos; sin]`` at the centred
-    window of ``width`` frequencies."""
-    p = basis.shape[0] // 2
-    lo = (p - width) // 2
-    return basis[lo : lo + width], basis[p + lo : p + lo + width]
-
-
-def _draw_factor(basis: np.ndarray, width: int, log_w: np.ndarray) -> np.ndarray:
-    """``[cos; sin; log w; 1]`` at the window's rows of ``basis``: the right
-    factor of :func:`_exact_draw` for ``width`` active frequencies."""
-    return np.vstack([*_window(basis, width), log_w, np.ones_like(log_w)])
-
-
 def _exact_draw(b: np.ndarray, factor: np.ndarray, rng) -> np.ndarray:
     """One candidate index per row of ``b`` from its shift conditional,
     without forming the logits.
 
     ``b`` holds a centred window of the columns of ``y conj(theta)`` (the
-    active frequencies), ``factor`` is :func:`_draw_factor` at its width.  The
-    logit of candidate ``x_j``, ``log w_j + 2 Re sum_k b_k e^{2 pi i k x_j}``,
-    is at most ``s = 2 sum_k |b_k| + max_j log w_j``, so the rows ``[2 Re b,
-    -2 Im b, 1, -s]`` times ``factor`` are the logits less that bound, and
-    each ``exp`` is at most ``w_j / max w``.  One uniform per row is drawn
-    first.  ``m`` is the shortest prefix whose suffix of ``w_j / max w`` is at
-    most ``_PREFIX_TOL``: a row's total lies between its head total (``m``
-    columns, whose cumulative sums are the full row's first ones) and that
-    plus twice the suffix, ``k`` ulps wider.  A row keeps its head index when
-    the count of cumulative masses at or below the scaled uniform is the same
-    at both ends, below ``m``, and its head total is at least ``e^-600``.
-    The other rows, and all rows when the last weight alone exceeds the
-    tolerance (an O(1) test), take :func:`mixture._bounded_reduce` with
-    :func:`_inverse_cdf` on all ``k`` columns and the same uniforms.  So the
-    draws are the full inverse CDF's, bit for bit; on ``contraction-dp``'s
-    chains the median ``m`` is about 28 of 100."""
+    active frequencies), ``factor`` is :func:`mixture._draw_factor` at its
+    width: the rows of :func:`mixture._shifted_rows` times ``factor`` are the
+    logits ``log w_j + 2 Re sum_k b_k e^{2 pi i k x_j}`` less their bound ``s
+    = 2 sum_k |b_k| + max_j log w_j``, each ``exp`` at most ``w_j / max w``.
+    One uniform per row is drawn first.  ``m`` is the shortest prefix whose
+    suffix of ``w_j / max w`` is at most ``_PREFIX_TOL``: a row's total lies
+    between its head total (``m`` columns, whose cumulative sums are the full
+    row's first ones) and that plus twice the suffix, ``k`` ulps wider.  A row
+    keeps its head index when the count of cumulative masses at or below the
+    scaled uniform is the same at both ends, below ``m``, and its head total
+    is at least ``e^-600``.  The other rows, and all rows when the last weight
+    alone exceeds the tolerance (an O(1) test), take
+    :func:`mixture._bounded_reduce` with :func:`_inverse_cdf` on all ``k``
+    columns and the same uniforms.  So the draws are the full inverse CDF's,
+    bit for bit; on ``contraction-dp``'s chains the median ``m`` is about 28
+    of 100."""
     n, k, log_w = b.shape[0], factor.shape[1], factor[-2]
     top = log_w.max()
-    s = 2.0 * np.abs(b).sum(axis=1) + top
-    rows = np.hstack([2.0 * b.real, -2.0 * b.imag, np.ones((n, 1)), -s[:, None]])
+    rows = _shifted_rows(b, np.abs(b), log_w)
     u, idx = rng.random(n), np.empty(n, dtype=int)
     rest = np.arange(n)
     if math.exp(log_w[-1] - top) <= _PREFIX_TOL:

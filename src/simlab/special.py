@@ -26,7 +26,6 @@ __all__ = [
     "a_n_scaled",
     "a_n_quadrature",
     "normal_cdf",
-    "sample_complex_gaussian",
     "complex_gaussian_array",
 ]
 
@@ -112,16 +111,7 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def sample_complex_gaussian(rng: np.random.Generator) -> complex:
-    """One draw of the standard complex Gaussian.
-
-    Real and imaginary parts are independent centered normals of
-    variance 1/2, so ``E|z|^2 = 1``.
-    """
-    return complex(complex_gaussian_array(rng, ()))
-
-
 def complex_gaussian_array(rng: np.random.Generator, shape) -> np.ndarray:
-    """Array of i.i.d. standard complex Gaussians with the same convention."""
+    """I.i.d. standard complex Gaussians: independent N(0, 1/2) real and imaginary parts."""
     scale = math.sqrt(0.5)
     return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)

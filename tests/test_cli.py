@@ -5,6 +5,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -240,6 +241,28 @@ class TestFanoNetCommand:
         with open(out / "certificate.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
+        # z: the gap in combined standard errors, empty for the reference itself
+        assert list(rows[0]) == ["j", "matched_tv", "matched_se", "mismatched_tv",
+                                 "mismatched_se", "z", "matched_below_mismatched"]
+        assert rows[0]["z"] == ""
+        for row in rows[1:]:
+            m, mm = float(row["matched_tv"]), float(row["mismatched_tv"])
+            se = math.hypot(float(row["matched_se"]), float(row["mismatched_se"]))
+            assert float(row["z"]) == pytest.approx((mm - m) / se, rel=1e-12)
+            assert (row["matched_below_mismatched"] == "True") == (float(row["z"]) > 0.0)
+
+    def test_certificate_z_empty_without_error_bars(self, tmp_path):
+        # at s = beta = 400 every perturbation underflows: all members are the
+        # reference, every TV estimate and standard error is 0, and z is undefined
+        out = tmp_path / "net"
+        assert main(
+            ["fano-net", "--p", "4", "--s", "400", "--beta", "400", "--nu", "1.5",
+             "--A", "2.0", "--certify", "--samples", "50", "--seed", "1", "--out", str(out)]
+        ) == 0
+        with open(out / "certificate.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["matched_se"] for row in rows] == ["0.0"] * 4
+        assert [row["z"] for row in rows] == [""] * 4
 
 
 class TestPosteriorCommand:

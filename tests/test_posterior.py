@@ -10,7 +10,14 @@ from scipy import stats
 
 from simlab import posterior
 from simlab.fourier import FourierSeries, project
-from simlab.mixture import MixtureLaw, _bounded_reduce, log_mixture_density
+from simlab.mixture import (
+    MixtureLaw,
+    _bounded_reduce,
+    _draw_factor,
+    _fourier_basis,
+    _window,
+    log_mixture_density,
+)
 from simlab.model import ObservationSet, simulate
 from simlab.posterior import (
     GibbsSampler,
@@ -22,13 +29,10 @@ from simlab.posterior import (
     importance_posterior,
     shift_measure,
     _cluster_sums,
-    _draw_factor,
     _exact_draw,
-    _fourier_basis,
     _inverse_cdf,
     _SLACK_MAX,
     _SmoothShifts,
-    _window,
 )
 from simlab.priors import (
     DirichletPriorConfig,

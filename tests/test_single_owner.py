@@ -4,7 +4,9 @@ Every categorical draw goes through ``shifts.categorical`` and every stick
 fraction through ``priors.stick_weights``; a second ``choice`` or ``beta``
 call would fork a stream that the equivalence tests pin.  The bound-shifted
 kernel's floor-and-redo has two callers: the log density and the Gibbs
-sampler's exact draw.
+sampler's exact draw.  The shift integral's row layout, its factor and its
+basis live in ``mixture``, and the rows have three builders: the log
+density, the exact draw and the smooth prior's block-envelope draw.
 """
 
 import ast
@@ -15,13 +17,16 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "simlab"
 
 def _calls(attr: str) -> list[tuple[str, str | None, int]]:
     """(file, enclosing function, line) of every ``<expr>.attr(...)`` or
-    ``attr(...)`` call."""
+    ``attr(...)`` call; a method is named ``Class.method``."""
     found = []
 
-    def visit(node, owner, name):
+    def visit(node, owner, name, cls=None):
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, owner, name, child.name)
+                continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name, name)
+                visit(child, f"{cls}.{child.name}" if cls else child.name, name)
                 continue
             func = getattr(child, "func", None)
             if isinstance(child, ast.Call) and attr in (
@@ -49,5 +54,25 @@ def test_bounded_reduce_callers():
     calls = _calls("_bounded_reduce")
     assert sorted((f, owner) for f, owner, _ in calls) == [
         ("mixture.py", "_log_density"),
+        ("posterior.py", "_exact_draw"),
+    ]
+
+
+def test_shift_integral_helpers_defined_only_in_mixture():
+    names = {"_fourier_basis", "_window", "_draw_factor", "_shifted_rows"}
+    defined = sorted(
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    )
+    assert defined == [("mixture.py", name) for name in sorted(names)]
+
+
+def test_shifted_rows_callers():
+    calls = _calls("_shifted_rows")
+    assert sorted((f, owner) for f, owner, _ in calls) == [
+        ("mixture.py", "_log_density"),
+        ("posterior.py", "_SmoothShifts.draw"),
         ("posterior.py", "_exact_draw"),
     ]

@@ -16,7 +16,6 @@ from simlab.special import (
     bessel_i_scaled_orders,
     complex_gaussian_array,
     normal_cdf,
-    sample_complex_gaussian,
 )
 
 
@@ -190,15 +189,9 @@ class TestComplexGaussian:
         corr = np.corrcoef(z.real, z.imag)[0, 1]
         assert abs(corr) < 3.0 / 1000.0
 
-    def test_scalar_sampler(self):
-        rng = np.random.default_rng(3)
-        z = sample_complex_gaussian(rng)
-        assert isinstance(z, complex)
-
     def test_scalar_sampler_is_array_stream(self):
-        # real part first, then imaginary, each N(0, 1/2), in both samplers
-        scalar, array, pairs = (np.random.default_rng(4) for _ in range(3))
+        # a scalar draw: real part first, then imaginary, each N(0, 1/2)
+        scalar, pairs = (np.random.default_rng(4) for _ in range(2))
         for _ in range(5):
-            z = sample_complex_gaussian(scalar)
-            assert z == complex(complex_gaussian_array(array, ()))
+            z = complex(complex_gaussian_array(scalar, ()))
             assert z == complex(*pairs.normal(0.0, math.sqrt(0.5), 2))
