@@ -35,7 +35,7 @@ from .distances import (
 from .fourier import FourierSeries, project, series_from_json, series_to_json
 from .mixture import MixtureLaw
 from .model import DatasetFormatError, load as load_obs, save as save_obs
-from .model import simulate, write_atomic
+from .model import simulate, task_map, write_atomic
 from .nets import MomentMatchError, fano_tv_certificate, make_fano_net
 from .posterior import (
     ContractionConfig,
@@ -289,9 +289,12 @@ def _cmd_fano_net(args) -> int:
     )
     if args.certify:
         rng = np.random.default_rng(args.seed)
-        cert = fano_tv_certificate(net, args.samples, rng)
+        cert = fano_tv_certificate(net, args.samples, rng, args.threads)
         rows = []
         for j, (m, mm) in enumerate(zip(cert.matched, cert.mismatched), start=1):
+            if j > 1 and mm.value == mm.std_error == 0.0:
+                raise FloatingPointError(f"member {j} equals member 1 to double precision"
+                                         " (mismatched TV 0 +- 0): lower --s or --beta")
             se = math.hypot(m.std_error, mm.std_error)  # 0 for member 1, the reference
             z = (mm.value - m.value) / se if se > 0.0 else ""
             rows.append(
@@ -332,11 +335,12 @@ def _check_row(name: str, est: DistanceEstimate, bound: float) -> list:
 
 
 def distance_verification_rows(
-    instances: int, samples: int, rng: np.random.Generator
+    instances: int, samples: int, rng: np.random.Generator, workers: int | None = None
 ) -> list[list]:
-    """Random-instance rows for the distance-inequality report."""
-    rows: list[list] = []
-    for i in range(instances):
+    """Random-instance rows for the distance-inequality report; instance ``i``
+    draws everything from its own stream (``task_map``) on ``workers`` threads."""
+
+    def instance(i: int, rng: np.random.Generator) -> list[list]:
         cutoff = int(rng.integers(1, 4))
         f = _random_series(rng, cutoff)
         f_tilde = _random_series(rng, cutoff)
@@ -344,34 +348,31 @@ def distance_verification_rows(
         law_f = MixtureLaw(f, g)
         law_ft = MixtureLaw(f_tilde, g)
         tv = mc_distance(law_f, law_ft, "TV", samples, rng)
-        rows.append(_check_row(f"tv_shape_{i}", tv, tv_bound_f(f, f_tilde)))
         g_tilde = _random_shift_dist(rng, int(rng.integers(0, 2)))
         tvg = mc_distance(MixtureLaw(f, g), MixtureLaw(f, g_tilde), "TV", samples, rng)
-        rows.append(_check_row(f"tv_mixing_{i}", tvg, tv_bound_g(f, g, g_tilde)))
         level = int(rng.integers(0, cutoff))
         f_l = project(project(f, level), cutoff)
         h2 = mc_distance(MixtureLaw(f, g), MixtureLaw(f_l, g), "H2", samples, rng)
         dh_est = hellinger_estimate(h2)
-        rows.append(_check_row(f"truncation_{i}", dh_est, e1_bound(f, level)))
-        rows.append(_check_row(f"perturbation_{i}", dh_est, e3_bound(f, f_l)))
         report = check_sandwich(law_f, law_ft, samples, rng)
-        rows.append(
-            [
-                f"sandwich_{i}",
-                report.tv.value,
-                hellinger_estimate(report.h2).value,
-                report.tv.std_error,
-                report.all_ok,
-            ]
-        )
-    return rows
+        return [
+            _check_row(f"tv_shape_{i}", tv, tv_bound_f(f, f_tilde)),
+            _check_row(f"tv_mixing_{i}", tvg, tv_bound_g(f, g, g_tilde)),
+            _check_row(f"truncation_{i}", dh_est, e1_bound(f, level)),
+            _check_row(f"perturbation_{i}", dh_est, e3_bound(f, f_l)),
+            [f"sandwich_{i}", report.tv.value, hellinger_estimate(report.h2).value,
+             report.tv.std_error, report.all_ok],
+        ]
+
+    per_instance = task_map(instance, range(instances), rng, workers)
+    return [row for rows in per_instance for row in rows]
 
 
 def _cmd_verify(args) -> int:
     if args.suite != "distances":
         raise ValidationError(f"unknown suite {args.suite!r}")
     rng = np.random.default_rng(args.seed)
-    rows = distance_verification_rows(args.instances, args.samples, rng)
+    rows = distance_verification_rows(args.instances, args.samples, rng, args.threads)
     _write_csv(args.out, ["check", "value", "bound", "std_error", "pass"], rows)
     return 0 if all(r[4] for r in rows) else 2
 
@@ -417,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=_bounded(int, 1),
             default=1,
-            help="worker count; recorded in run.json but not yet used",
+            help="worker threads (at most the usable cores) for fano-net --certify"
+            " and verify, whose outputs do not depend on the value; other"
+            " subcommands ignore it",
         )
         p.add_argument("--out", required=True)
 

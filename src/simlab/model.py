@@ -20,7 +20,7 @@ from .fourier import int_from_json, project
 from .shifts import ShiftDistribution
 from .special import complex_gaussian_array
 
-__all__ = ["ObservationSet", "DatasetFormatError", "simulate", "save", "load"]
+__all__ = ["ObservationSet", "DatasetFormatError", "simulate", "task_map", "save", "load"]
 
 
 class DatasetFormatError(ValueError):
@@ -108,6 +108,24 @@ def simulate(
     if sigma > 0:
         curves = curves + sigma * noise
     return ObservationSet(cutoff, sigma, curves, true_shifts=shifts, seed=seed)
+
+
+def task_map(fn, tasks, rng: np.random.Generator, workers: int | None = None) -> list:
+    """``fn(task, child)`` for each task, in task order, on ``workers`` threads
+    (default and cap: the usable cores).  Task ``i`` draws from its own child
+    ``rng.spawn(len(tasks))[i]``, so the results do not depend on ``workers``.
+    Threads pay where tasks spend their time in numpy calls that release the GIL."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    tasks = list(tasks)
+    children = rng.spawn(len(tasks))
+    workers = min(workers or cores, cores, len(tasks))
+    if workers <= 1:
+        return list(map(fn, tasks, children))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, tasks, children))
 
 
 def save(obs: ObservationSet, path: str) -> None:

@@ -12,12 +12,13 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simlab import cli
-from simlab.cli import main
+from simlab.cli import distance_verification_rows, main
 from simlab.distances import NonFiniteDensityError
 from simlab.fourier import FourierSeries, series_to_json
 from simlab.model import load
@@ -201,6 +202,11 @@ class TestVerifyCommand:
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["command"] == "verify" and run["suite"] == "distances"
 
+    def test_rows_independent_of_workers(self):
+        rows = [distance_verification_rows(3, 1_000, np.random.default_rng(11), workers)
+                for workers in (1, 2, 5)]
+        assert len(rows[0]) == 15 and rows[1] == rows[0] and rows[2] == rows[0]
+
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -251,18 +257,37 @@ class TestFanoNetCommand:
             assert float(row["z"]) == pytest.approx((mm - m) / se, rel=1e-12)
             assert (row["matched_below_mismatched"] == "True") == (float(row["z"]) > 0.0)
 
-    def test_certificate_z_empty_without_error_bars(self, tmp_path):
+    def test_underflowing_net_refused_without_certificate(self, tmp_path, capsys):
         # at s = beta = 400 every perturbation underflows: all members are the
-        # reference, every TV estimate and standard error is 0, and z is undefined
+        # reference and every TV estimate is 0 +- 0, a certificate of nothing
         out = tmp_path / "net"
         assert main(
             ["fano-net", "--p", "4", "--s", "400", "--beta", "400", "--nu", "1.5",
              "--A", "2.0", "--certify", "--samples", "50", "--seed", "1", "--out", str(out)]
-        ) == 0
-        with open(out / "certificate.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [row["matched_se"] for row in rows] == ["0.0"] * 4
-        assert [row["z"] for row in rows] == [""] * 4
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: member 2 ")
+        assert "double precision" in err[0] and "--s or --beta" in err[0]
+        assert not (out / "certificate.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, out, output",
+    [
+        (["fano-net", "--p", "4", "--certify", "--samples", "3000", "--seed", "2"],
+         "net", "net/certificate.csv"),
+        (["verify", "--suite", "distances", "--instances", "3", "--samples", "1500",
+          "--seed", "7"], "report.csv", "report.csv"),
+    ],
+    ids=["fano-net", "verify"],
+)
+def test_threads_leave_outputs_byte_identical(tmp_path, argv, out, output):
+    written = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        assert main(argv + ["--threads", threads, "--out", str(tmp_path / threads / out)]) == 0
+        written.append((tmp_path / threads / output).read_bytes())
+    assert written[0] == written[1]
 
 
 class TestPosteriorCommand:

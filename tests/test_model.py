@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from simlab.fourier import FourierSeries, project, rotate
-from simlab.model import DatasetFormatError, ObservationSet, load, save, simulate
+from simlab.distances import NonFiniteDensityError
+from simlab.model import DatasetFormatError, ObservationSet, load, save, simulate, task_map
 from simlab.shifts import Discrete, FourierDensity, fourier_coeff, raised_cosine_density
 from simlab.shifts import discretize, sample
 from simlab.special import bessel_i_scaled_orders, complex_gaussian_array
@@ -319,3 +321,35 @@ class TestBooleansRefused:
             doc["true_shifts"][2] = False
         with pytest.raises(DatasetFormatError, match=f"field '{key}'"):
             load_document(doc)
+
+
+class TestTaskMap:
+    @staticmethod
+    def _draw(task, rng):
+        time.sleep(0.002 * (5 - task))  # later tasks finish first on a pool
+        return task, rng.random(3)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5, 64, None])
+    def test_task_order_and_one_stream_per_task(self, workers):
+        children = np.random.default_rng(4).spawn(5)
+        got = task_map(self._draw, range(5), np.random.default_rng(4), workers)
+        assert [task for task, _ in got] == list(range(5))
+        for (_, draws), child in zip(got, children):
+            assert np.array_equal(draws, child.random(3))
+
+    def test_no_tasks(self):
+        assert task_map(self._draw, [], np.random.default_rng(0), 4) == []
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_exception_reraised_unchanged(self, workers):
+        raised = []
+
+        def fail_on_two(task, rng):
+            if task == 2:
+                raised.append(NonFiniteDensityError("non-finite density ratio"))
+                raise raised[-1]
+            return task
+
+        with pytest.raises(NonFiniteDensityError) as info:
+            task_map(fail_on_two, range(4), np.random.default_rng(0), workers)
+        assert info.value is raised[0]

@@ -114,6 +114,13 @@ class TestFanoCertificate:
         cert = fano_tv_certificate(net, 30_000, rng)
         assert cert.matched[0].value <= 3.0 * max(cert.matched[0].std_error, 1e-6)
 
+    def test_certificate_independent_of_workers(self):
+        net = make_fano_net(4, 1.0, 2.5, 1.5, 2.0)
+        certs = [fano_tv_certificate(net, 2_000, np.random.default_rng(9), workers=w)
+                 for w in (1, 2, 5)]
+        assert len(certs[0].matched) == len(certs[0].mismatched) == 4
+        assert certs[1] == certs[0] and certs[2] == certs[0]
+
     def test_grids_are_tabulated_once_per_net(self, monkeypatch):
         net = make_fano_net(4, 1.0, 2.5, 1.5, 2.0)
         grids = net.grids

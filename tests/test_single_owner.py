@@ -7,6 +7,8 @@ kernel's floor-and-redo has two callers: the log density and the Gibbs
 sampler's exact draw.  The shift integral's row layout, its factor and its
 basis live in ``mixture``, and the rows have three builders: the log
 density, the exact draw and the smooth prior's block-envelope draw.
+Threads and stream splits have one owner, ``model.task_map``, whose per-task
+children keep an output independent of the worker count.
 """
 
 import ast
@@ -75,4 +77,24 @@ def test_shifted_rows_callers():
         ("mixture.py", "_log_density"),
         ("posterior.py", "_SmoothShifts.draw"),
         ("posterior.py", "_exact_draw"),
+    ]
+
+
+def test_threads_and_stream_splits_only_in_task_map():
+    # simulate splits its integer seed into per-curve SeedSequence children;
+    # every Generator is split, and every thread pool started, by task_map
+    assert [(f, owner) for f, owner, _ in _calls("ThreadPoolExecutor")] == [
+        ("model.py", "task_map")
+    ]
+    assert sorted((f, owner) for f, owner, _ in _calls("spawn")) == [
+        ("model.py", "simulate"),
+        ("model.py", "task_map"),
+    ]
+
+
+def test_task_map_callers():
+    calls = _calls("task_map")
+    assert sorted((f, owner) for f, owner, _ in calls) == [
+        ("cli.py", "distance_verification_rows"),
+        ("nets.py", "fano_tv_certificate"),
     ]
