@@ -7,7 +7,6 @@ from .fourier import (
     evaluate,
     h1_norm,
     is_phase_normalized,
-    l2_norm,
     project,
     rotate,
     sobolev_s_norm,
@@ -19,7 +18,6 @@ from .shifts import (
     ShiftDistribution,
     discretize,
     fourier_coeff,
-    in_class,
     sample,
     sobolev_radius,
     tv_density,
@@ -31,7 +29,6 @@ from .mixture import (
     gaussian_density,
     girsanov_log_ratio,
     log_likelihood,
-    mixture_density,
 )
 from .distances import (
     DistanceEstimate,
@@ -39,7 +36,6 @@ from .distances import (
     e1_bound,
     e3_bound,
     hellinger_point_shift,
-    marginal,
     mc_distance,
     tv_bound_f,
     tv_bound_g,

@@ -36,7 +36,7 @@ from .fourier import FourierSeries, project, series_from_json, series_to_json
 from .mixture import MixtureLaw
 from .model import DatasetFormatError, load as load_obs, save as save_obs
 from .model import simulate, task_map, write_atomic
-from .nets import MomentMatchError, fano_tv_certificate, make_fano_net
+from .nets import fano_tv_certificate, make_fano_net
 from .posterior import (
     ContractionConfig,
     PriorConfig,
@@ -500,8 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MomentMatchError, RejectionLimitError, NonFiniteDensityError,
-            FloatingPointError) as exc:
+    except (RejectionLimitError, NonFiniteDensityError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,6 @@ __all__ = [
     "DistanceEstimate",
     "NonFiniteDensityError",
     "tv_gaussians",
-    "tv_gaussians_linear_bound",
     "hellinger_point_shift",
     "mc_distance",
     "check_sandwich",
@@ -33,7 +32,6 @@ __all__ = [
     "tv_bound_g",
     "e1_bound",
     "e3_bound",
-    "marginal",
 ]
 
 _METRICS = ("TV", "H2", "KL", "V")
@@ -65,21 +63,11 @@ def tv_gaussians(z1: np.ndarray, z2: np.ndarray) -> float:
     With per-coordinate real/imaginary variance 1/2, projecting onto the
     mean-difference direction gives ``2 Phi(||z1 - z2|| / sqrt(2)) - 1``.
     """
-    return 2.0 * normal_cdf(_mean_distance(z1, z2) / math.sqrt(2.0)) - 1.0
-
-
-def tv_gaussians_linear_bound(z1: np.ndarray, z2: np.ndarray) -> float:
-    """Tangent-line bound ``||z1 - z2|| / sqrt(pi)`` on the Gaussian TV."""
-    return _mean_distance(z1, z2) / math.sqrt(math.pi)
-
-
-def _mean_distance(z1, z2) -> float:
-    """``||z1 - z2||`` of two complex mean vectors of one dimension."""
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     z2 = np.atleast_1d(np.asarray(z2, dtype=complex))
     if z1.shape != z2.shape:
         raise ValueError("mean vectors must share a dimension")
-    return float(np.linalg.norm(z1 - z2))
+    return 2.0 * normal_cdf(float(np.linalg.norm(z1 - z2)) / math.sqrt(2.0)) - 1.0
 
 
 def hellinger_point_shift(f: FourierSeries, f_tilde: FourierSeries) -> float:
@@ -225,10 +213,3 @@ def e3_bound(f: FourierSeries, f0_l: FourierSeries) -> float:
     cut = max(f.cutoff, f0_l.cutoff)
     diff = project(f, cut).coeffs - project(f0_l, cut).coeffs
     return 2.0**0.25 * math.sqrt(float(np.linalg.norm(diff)))
-
-
-def marginal(law: MixtureLaw, k: int) -> MixtureLaw:
-    """Law of the single coefficient ``k``: mean ``theta_k e^{-i 2 pi k phi}``."""
-    if abs(k) > law.theta.cutoff:
-        raise ValueError(f"frequency {k} beyond cutoff {law.theta.cutoff}")
-    return MixtureLaw(law.theta, law.g, law.quadrature_points, freqs=(k,))

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "FourierSeries",
     "rotate",
-    "l2_norm",
     "h1_norm",
     "sobolev_s_norm",
     "project",
@@ -89,11 +88,6 @@ def rotate(theta: FourierSeries, phi: float) -> FourierSeries:
     """
     phases = np.exp(-2j * np.pi * theta.ks * phi)
     return FourierSeries(theta.cutoff, theta.coeffs * phases)
-
-
-def l2_norm(theta: FourierSeries) -> float:
-    """Parseval norm ``sqrt(sum |theta_k|^2)``."""
-    return float(np.sqrt(np.sum(np.abs(theta.coeffs) ** 2)))
 
 
 def h1_norm(theta: FourierSeries) -> float:

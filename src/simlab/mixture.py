@@ -25,7 +25,6 @@ __all__ = [
     "MixtureLaw",
     "gaussian_density",
     "log_gaussian_density",
-    "mixture_density",
     "log_mixture_density",
     "log_likelihood",
     "girsanov_log_ratio",
@@ -116,12 +115,7 @@ def log_gaussian_density(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def gaussian_density(z, mu) -> float | np.ndarray:
     """Standard complex Gaussian density ``pi^{-p} exp(-||z - mu||^2)``."""
-    return _exp_rows(z, log_gaussian_density(z, mu))
-
-
-def _exp_rows(z, log_density: np.ndarray) -> float | np.ndarray:
-    """``exp`` of row-wise log densities; a float for a single ``(p,)`` point."""
-    out = np.exp(log_density)
+    out = np.exp(log_gaussian_density(z, mu))
     return float(out[0]) if np.ndim(z) <= 1 else out
 
 
@@ -323,11 +317,6 @@ def _log_density(law, z, b, absb, phi, w) -> np.ndarray:
         out = shift + np.log(sums)
     sq = np.einsum("ij,ij->i", z.view(float), z.view(float))
     return out - sq - (np.vdot(theta, theta).real + p * math.log(math.pi))
-
-
-def mixture_density(law: MixtureLaw, z) -> float | np.ndarray:
-    """Mixture density ``int gamma(z - theta . phi) dg(phi)`` at ``z``."""
-    return _exp_rows(z, log_mixture_density(law, z))
 
 
 def log_likelihood(law: MixtureLaw, obs: ObservationSet) -> float:

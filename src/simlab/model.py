@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import FourierSeries, complex_from_json, complex_to_json, floats_from_json
+from .fourier import FourierSeries, complex_to_json, floats_from_json
 from .fourier import int_from_json, project
 from .shifts import ShiftDistribution
 from .special import complex_gaussian_array
@@ -170,23 +170,15 @@ def load(path: str) -> ObservationSet:
     if type(sigma) not in (int, float) or not 0.0 <= sigma <= sys.float_info.max:
         message = f"expected a finite nonnegative number, got {sigma!r}"
         raise DatasetFormatError("sigma", message)
-    rows = doc["curves"]
-    if not isinstance(rows, list) or len(rows) != n:
-        raise DatasetFormatError("curves", f"expected {n} rows")
     width = 2 * cutoff + 1
-    for j, row in enumerate(rows):  # before allocating, so cutoff is bounded
-        if not isinstance(row, list) or len(row) != width:
-            raise DatasetFormatError("curves", f"row {j} must have {width} entries")
+    curves = _decode(doc, "curves", floats_from_json)  # sized by the file, not by cutoff
+    if curves.shape != (n, width, 2) and (n, curves.shape) != (0, (0,)):
+        message = f"expected {n} rows of {width} [re, im] pairs, got shape {curves.shape}"
+        raise DatasetFormatError("curves", message)
     try:
-        curves = np.empty((n, width), dtype=complex)
+        curves = curves.reshape(n, width, 2).view(complex)[..., 0]
     except ValueError as exc:  # only reachable with no rows
         raise DatasetFormatError("cutoff", str(exc)) from exc
-    for j, row in enumerate(rows):
-        try:
-            curves[j] = complex_from_json(row, "curves")
-        except ValueError as exc:
-            message = f"row {j} is not a list of [re, im] number pairs"
-            raise DatasetFormatError("curves", message) from exc
     shifts = None
     if doc.get("true_shifts") is not None:
         shifts = _decode(doc, "true_shifts", floats_from_json)

@@ -36,6 +36,7 @@ from .priors import (
     DirichletPriorConfig,
     SievePriorConfig,
     SmoothPriorConfig,
+    _require,
     exp_density,
     gp_draw,
     lambda_pmf,
@@ -171,8 +172,7 @@ def importance_posterior(
     with different activation levels.  Exact in expectation for any
     integrable posterior functional.
     """
-    if draws < 1:
-        raise ValueError("need at least one draw")
+    _require(draws >= 1, "draws", "must be at least 1", draws)
     sample_g = _SHIFT_MOVES[type(prior_cfg.shift_prior)].sample_prior
     # the likelihood draws nothing: all pairs first is the per-draw stream
     pairs = [(sample_f(prior_cfg.sieve, rng), sample_g(prior_cfg.shift_prior, rng))
@@ -462,8 +462,6 @@ class GibbsSampler:
         from the prior, whose density cancels against the proposal);
         ``new_level = level - 1`` removes the current boundary pair.
         """
-        if abs(new_level - self.level) != 1:
-            raise ValueError("level moves are between adjacent levels only")
         lam = self.level_pmf
         prior_term = math.log(lam[new_level - 1]) - math.log(lam[self.level - 1])
         gain = self._pair_loglik_gain(max(new_level, self.level), coeff_pos, coeff_neg)
@@ -508,8 +506,9 @@ class GibbsSampler:
         self.update_shift_distribution()
 
     def run(self, steps: int, burn_in: int, thin: int) -> PosteriorEnsemble:
-        if steps < 1:
-            raise ValueError("need at least one sweep")
+        _require(steps >= 1, "steps", "must be at least 1", steps)
+        _require(0 <= burn_in < steps, "burn_in", f"must lie in [0, {steps})", burn_in)
+        _require(thin >= 1, "thin", "must be at least 1", thin)
         kept = []
         for step in range(steps):
             self.sweep()
@@ -605,6 +604,7 @@ def gibbs_posterior(
     max_kept: int = 400,
 ) -> PosteriorEnsemble:
     """Run the Gibbs sampler and return the thinned post-burn-in ensemble."""
+    _require(max_kept >= 1, "max_kept", "must be at least 1", max_kept)
     sampler = GibbsSampler(obs, prior_cfg, rng)
     burn = steps // 3
     thin = max(1, (steps - burn) // max_kept)

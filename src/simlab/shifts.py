@@ -24,7 +24,6 @@ __all__ = [
     "wasserstein1",
     "tv_density",
     "sobolev_radius",
-    "in_class",
     "sample",
     "discretize",
     "uniform_density",
@@ -321,11 +320,6 @@ def sobolev_radius(g: ShiftDistribution, nu: float) -> float:
     coeffs = fourier_coeff(g, ks)
     total = 2.0 * np.sum(ks ** (2.0 * nu) * np.abs(coeffs) ** 2)
     return float(np.sqrt(total))
-
-
-def in_class(g: ShiftDistribution, nu: float, radius: float) -> bool:
-    """Whether ``g`` lies in the smoothness-``nu`` ball of the given radius."""
-    return sobolev_radius(g, nu) < radius
 
 
 def cumulative_trapezoid(v: np.ndarray) -> np.ndarray:

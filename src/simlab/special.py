@@ -23,7 +23,6 @@ __all__ = [
     "bessel_i",
     "bessel_i_scaled",
     "a_n",
-    "a_n_scaled",
     "a_n_quadrature",
     "normal_cdf",
     "complex_gaussian_array",
@@ -87,11 +86,6 @@ def bessel_i(n: int, a: float) -> float:
 def a_n(n: int, a: float) -> float:
     """``A_n(a) = int_0^{2pi} e^{a cos u} cos(nu) du = 2 pi I_n(a)``."""
     return 2.0 * math.pi * bessel_i(n, a)
-
-
-def a_n_scaled(n: int, a: float) -> float:
-    """``e^{-a} A_n(a)``; stable for arbitrarily large ``a``."""
-    return 2.0 * math.pi * bessel_i_scaled(n, a)
 
 
 def a_n_quadrature(n: int, a: float) -> float:

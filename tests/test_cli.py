@@ -115,6 +115,16 @@ class TestSimulateCommand:
         assert code == 1
         assert f"field '{fieldname}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta", ["missing.json", ".", "text.json"])
+    def test_unreadable_theta_is_one_error_line(self, tmp_path, truth_files, capsys, theta):
+        (tmp_path / "text.json").write_text("not json")
+        path = str(tmp_path / theta)
+        code = main(["simulate", "--theta", path, "--g", truth_files[1], "--n", "3",
+                     "--cutoff", "1", "--out", str(tmp_path / "obs.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
     def test_bad_threads_rejected(self, tmp_path, truth_files):
         theta_path, g_path = truth_files
         code = main(

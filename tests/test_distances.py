@@ -13,15 +13,13 @@ from simlab.distances import (
     e1_bound,
     e3_bound,
     hellinger_point_shift,
-    marginal,
     mc_distance,
     tv_bound_f,
     tv_bound_g,
     tv_gaussians,
-    tv_gaussians_linear_bound,
 )
 from simlab.fourier import FourierSeries
-from simlab.mixture import MixtureLaw, sample_law
+from simlab.mixture import MixtureLaw, gaussian_density, log_mixture_density, sample_law
 from simlab.shifts import Discrete, raised_cosine_density, uniform_density
 from simlab.special import normal_cdf
 
@@ -44,19 +42,10 @@ class TestGaussianTV:
             2.0 * normal_cdf(math.sqrt(2.0)) - 1.0, rel=1e-12
         )
 
-    def test_linear_bound_dominates(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            p = int(rng.integers(1, 4))
-            z1 = rng.normal(size=p) + 1j * rng.normal(size=p)
-            z2 = rng.normal(size=p) + 1j * rng.normal(size=p)
-            assert tv_gaussians(z1, z2) <= tv_gaussians_linear_bound(z1, z2)
-
-    @pytest.mark.parametrize("tv", [tv_gaussians, tv_gaussians_linear_bound])
-    def test_mismatched_dimensions_are_refused(self, tv):
+    def test_mismatched_dimensions_are_refused(self):
         # a (1,) and a (3,) mean would broadcast to a distance of sqrt(3)
         with pytest.raises(ValueError, match="share a dimension"):
-            tv([1.0], [0.0, 0.0, 0.0])
+            tv_gaussians([1.0], [0.0, 0.0, 0.0])
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(1)
@@ -194,6 +183,28 @@ def patch_log_densities(monkeypatch, p, lp, lq):
     )
 
 
+LAW = MixtureLaw(FourierSeries.from_dict({1: 1.0 + 0j}, 1), uniform_density())
+
+
+def kl_with_a_zero_density_under_p(monkeypatch, rng):
+    patch_log_densities(monkeypatch, LAW, np.array([-1.0, -np.inf]), np.zeros(2))
+    return mc_distance(LAW, MixtureLaw(FourierSeries.zero(1), LAW.g), "KL", 2, rng)
+
+
+@pytest.mark.parametrize(
+    "call, error, named",
+    [
+        (lambda mp, rng: mc_distance(LAW, MixtureLaw(LAW.theta, LAW.g, freqs=(1,)), "TV", 10,
+                                     rng), ValueError, "active frequencies"),
+        (lambda mp, rng: mc_distance(LAW, LAW, "TV", 1, rng), ValueError, "two samples"),
+        (kl_with_a_zero_density_under_p, NonFiniteDensityError, "density under p"),
+    ],
+)
+def test_mc_distance_refusals(monkeypatch, call, error, named):
+    with pytest.raises(error, match=named):
+        call(monkeypatch, np.random.default_rng(4))
+
+
 class TestLogRatioIntegrands:
     P = MixtureLaw(FourierSeries.from_dict({1: 1.0 + 0j}, 1), uniform_density())
     Q = MixtureLaw(FourierSeries.zero(1), uniform_density())
@@ -296,24 +307,20 @@ class TestMarginal:
     def test_zero_coefficient_is_standard_gaussian(self):
         th = FourierSeries.from_dict({1: 0.8 + 0j}, 2)  # theta_2 = 0
         law = MixtureLaw(th, raised_cosine_density())
-        m = marginal(law, 2)
+        m = MixtureLaw(th, law.g, freqs=(2,))
         rng = np.random.default_rng(16)
         z = rng.normal(size=(100, 1)) + 1j * rng.normal(size=(100, 1))
-        from simlab.mixture import mixture_density, gaussian_density
-
         for row in z:
-            assert mixture_density(m, row[None, :])[0] == pytest.approx(
+            assert np.exp(log_mixture_density(m, row[None, :])[0]) == pytest.approx(
                 gaussian_density(row, np.zeros(1, dtype=complex)), rel=1e-9
             )
 
     def test_point_mixture_marginal(self):
         th = FourierSeries.from_dict({1: 0.8 + 0j}, 1)
         law = MixtureLaw(th, Discrete.point_mass(0.0))
-        m = marginal(law, 1)
-        from simlab.mixture import gaussian_density, mixture_density
-
+        m = MixtureLaw(th, law.g, freqs=(1,))
         z = np.array([0.4 - 0.3j])
-        assert mixture_density(m, z[None, :])[0] == pytest.approx(
+        assert np.exp(log_mixture_density(m, z[None, :])[0]) == pytest.approx(
             gaussian_density(z, np.array([0.8 + 0j])), rel=1e-12
         )
 
@@ -322,18 +329,18 @@ class TestMarginal:
         p = MixtureLaw(random_series(rng, 2), raised_cosine_density())
         q = MixtureLaw(random_series(rng, 2), raised_cosine_density())
         joint = mc_distance(p, q, "TV", 40_000, rng)
-        marg = mc_distance(marginal(p, 1), marginal(q, 1), "TV", 40_000, rng)
+        p1, q1 = (MixtureLaw(law.theta, law.g, freqs=(1,)) for law in (p, q))
+        marg = mc_distance(p1, q1, "TV", 40_000, rng)
         slack = 3.0 * math.hypot(joint.std_error, marg.std_error)
         assert marg.value <= joint.value + slack
 
     def test_out_of_range(self):
-        law = MixtureLaw(FourierSeries.zero(1), uniform_density())
-        with pytest.raises(ValueError):
-            marginal(law, 3)
+        with pytest.raises(ValueError, match="beyond the shape cutoff"):
+            MixtureLaw(FourierSeries.zero(1), uniform_density(), freqs=(3,))
 
     def test_sampling_matches_density_dimension(self):
         rng = np.random.default_rng(18)
         th = FourierSeries.from_dict({1: 0.5 + 0j, 2: 0.2j}, 2)
-        m = marginal(MixtureLaw(th, uniform_density()), 2)
+        m = MixtureLaw(th, uniform_density(), freqs=(2,))
         z = sample_law(m, 16, rng)
         assert z.shape == (16, 1)

@@ -13,7 +13,6 @@ from simlab.fourier import (
     evaluate,
     h1_norm,
     is_phase_normalized,
-    l2_norm,
     project,
     rotate,
     series_from_json,
@@ -35,6 +34,18 @@ class TestConstruction:
     def test_finite_checked(self):
         with pytest.raises(ValueError):
             FourierSeries(0, np.array([np.inf + 0j]))
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda: FourierSeries(-1, np.zeros(0, dtype=complex)), "cutoff must be nonnegative"),
+            (lambda: FourierSeries.from_dict({3: 1.0}, cutoff=2), "frequency 3 beyond cutoff 2"),
+            (lambda: project(FourierSeries.zero(1), -1), "cutoff must be nonnegative"),
+        ],
+    )
+    def test_refusals(self, call, named):
+        with pytest.raises(ValueError, match=named):
+            call()
 
     def test_coeff_lookup(self):
         th = FourierSeries.from_dict({-1: 2j, 1: 1.0 + 0j}, cutoff=1)
@@ -126,7 +137,7 @@ class TestRotate:
     def test_rotation_is_isometry(self, phi, cutoff, seed):
         th = random_series(np.random.default_rng(seed), cutoff)
         rot = rotate(th, phi)
-        assert l2_norm(rot) == pytest.approx(l2_norm(th), abs=1e-12)
+        assert np.linalg.norm(rot.coeffs) == pytest.approx(np.linalg.norm(th.coeffs), abs=1e-12)
         assert h1_norm(rot) == pytest.approx(h1_norm(th), abs=1e-12)
         assert sobolev_s_norm(rot, 1.5) == pytest.approx(
             sobolev_s_norm(th, 1.5), abs=1e-12
@@ -152,7 +163,7 @@ class TestNorms:
 
     def test_zero_series(self):
         z = FourierSeries.zero(3)
-        assert l2_norm(z) == 0.0
+        assert np.linalg.norm(z.coeffs) == 0.0
         assert sobolev_s_norm(z, 2.0) == 0.0
 
     def test_sobolev_hand_value(self):
@@ -198,7 +209,7 @@ class TestProject:
         once = project(th, 2)
         twice = project(once, 2)
         assert np.array_equal(once.coeffs, twice.coeffs)
-        assert l2_norm(once) <= l2_norm(th)
+        assert np.linalg.norm(once.coeffs) <= np.linalg.norm(th.coeffs)
         assert h1_norm(once) <= h1_norm(th)
         assert sobolev_s_norm(once, 1.5) <= sobolev_s_norm(th, 1.5)
 

@@ -15,7 +15,6 @@ from simlab.mixture import (
     log_gaussian_density,
     log_likelihood,
     log_mixture_density,
-    mixture_density,
     sample_law,
 )
 from simlab.model import ObservationSet, simulate
@@ -53,7 +52,7 @@ class TestMixtureDensity:
     def test_point_mixture_reduces_to_gaussian(self):
         law = MixtureLaw(THETA, Discrete.point_mass(0.0))
         z = np.array([0.1 + 0j, 0.2 - 0.1j, 0.0j, 0.5j, -0.3 + 0j])
-        assert mixture_density(law, z[None, :])[0] == pytest.approx(
+        assert np.exp(log_mixture_density(law, z[None, :])[0]) == pytest.approx(
             gaussian_density(z, project(THETA, 2).coeffs), rel=1e-12
         )
 
@@ -62,7 +61,7 @@ class TestMixtureDensity:
         z = np.array([0.4 - 0.2j, 0.1j, 0.6 + 0j])
         for g in (uniform_density(), raised_cosine_density(), Discrete.point_mass(0.7)):
             law = MixtureLaw(zero, g)
-            assert mixture_density(law, z[None, :])[0] == pytest.approx(
+            assert np.exp(log_mixture_density(law, z[None, :])[0]) == pytest.approx(
                 gaussian_density(z, np.zeros(3, dtype=complex)), rel=1e-9
             )
 
@@ -74,7 +73,7 @@ class TestMixtureDensity:
         by_hand = 0.3 * gaussian_density(z, rotate(THETA, 0.2).coeffs) + (
             0.7 * gaussian_density(z, rotate(THETA, 0.7).coeffs)
         )
-        assert mixture_density(law, z[None, :])[0] == pytest.approx(by_hand, rel=1e-12)
+        assert np.exp(log_mixture_density(law, z[None, :])[0]) == pytest.approx(by_hand, rel=1e-12)
 
     def test_normalizes_dimension_one(self):
         th = FourierSeries.from_dict({0: 0.5 + 0.5j}, cutoff=0)
@@ -82,7 +81,7 @@ class TestMixtureDensity:
         grid = np.linspace(-5.5, 5.5, 441)
         xx, yy = np.meshgrid(grid, grid)
         z = (xx + 1j * yy).reshape(-1, 1)
-        vals = mixture_density(law, z)
+        vals = np.exp(log_mixture_density(law, z))
         step = grid[1] - grid[0]
         assert np.sum(vals) * step**2 == pytest.approx(1.0, abs=1e-6)
 
@@ -92,24 +91,47 @@ class TestMixtureDensity:
         law = MixtureLaw(THETA, raised_cosine_density())
         z = sample_law(law, 40_000, rng)
         ref = gaussian_density(z, np.zeros(5, dtype=complex))
-        ratio = ref / mixture_density(law, z)
+        ratio = ref / np.exp(log_mixture_density(law, z))
         assert abs(ratio.mean() - 1.0) < 0.01
 
     def test_uniform_mixture_rotation_invariance(self):
         law = MixtureLaw(THETA, uniform_density())
         rng = np.random.default_rng(2)
         z = rng.normal(size=5) + 1j * rng.normal(size=5)
-        base = mixture_density(law, z[None, :])[0]
+        base = np.exp(log_mixture_density(law, z[None, :])[0])
         for psi in (0.17, 0.42, 0.9):
             ks = np.arange(-2, 3)
             rotated = z * np.exp(-2j * np.pi * ks * psi)
-            assert mixture_density(law, rotated[None, :])[0] == pytest.approx(
+            assert np.exp(log_mixture_density(law, rotated[None, :])[0]) == pytest.approx(
                 base, rel=1e-9
             )
 
     def test_quadrature_floor_enforced(self):
         with pytest.raises(ValueError):
             MixtureLaw(THETA, uniform_density(), quadrature_points=32)
+
+
+ONE_FREQ = MixtureLaw(THETA, uniform_density(), freqs=(1,))
+FULL = MixtureLaw(THETA, uniform_density())
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: MixtureLaw(THETA, uniform_density(), freqs=(1, 3)), "beyond the shape cutoff"),
+        (lambda: log_mixture_density(FULL, np.zeros(3, dtype=complex)),
+         "must have dimension 5, got 3"),
+        (lambda: log_likelihood(ONE_FREQ, simulate(THETA, uniform_density(), 2, 2)),
+         "full-window"),
+        (lambda: girsanov_log_ratio(ONE_FREQ, FULL, np.zeros(5, dtype=complex)), "full-window"),
+        (lambda: girsanov_log_ratio(FULL, ONE_FREQ, np.zeros(5, dtype=complex)), "full-window"),
+        (lambda: girsanov_log_ratio(FULL, FULL, np.zeros(3, dtype=complex)),
+         "observation must have dimension 5"),
+    ],
+)
+def test_refusals(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
 
 
 def oracle_log_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:

@@ -197,6 +197,32 @@ class TestSimulate:
         assert p_value > 1e-3
 
 
+def _load_text(tmp_path, text):
+    path = tmp_path / "obs.json"
+    path.write_text(text)
+    return load(str(path))
+
+
+@pytest.mark.parametrize(
+    "call, error, named",
+    [
+        (lambda tmp: ObservationSet(1, 1.0, np.array([[0.0, np.nan, 1.0]])), ValueError,
+         "curve coefficients must be finite"),
+        (lambda tmp: ObservationSet(1, 1.0, np.zeros((2, 3)), true_shifts=[0.1]), ValueError,
+         "true_shifts length"),
+        (lambda tmp: simulate(THETA, raised_cosine_density(), 3, 2, sigma=-0.5), ValueError,
+         "sigma must be finite and nonnegative"),
+        (lambda tmp: _load_text(tmp, "{not json"), DatasetFormatError,
+         "field '<file>': not valid JSON"),
+        (lambda tmp: _load_text(tmp, "[1, 2]"), DatasetFormatError,
+         "field '<file>': expected a JSON object"),
+    ],
+)
+def test_refusals(tmp_path, call, error, named):
+    with pytest.raises(error, match=named):
+        call(tmp_path)
+
+
 class TestObservationSet:
     def test_shape_validated(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """Posterior machinery: the two samplers, their agreement, and diagnostics."""
 
+import copy
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,11 +23,13 @@ from simlab.mixture import (
 )
 from simlab.model import ObservationSet, simulate
 from simlab.posterior import (
+    ContractionConfig,
     GibbsSampler,
     PosteriorEnsemble,
     PriorConfig,
     align_pair,
     ball_mass,
+    contraction_experiment,
     gibbs_posterior,
     importance_posterior,
     shift_measure,
@@ -38,6 +43,7 @@ from simlab.priors import (
     DirichletPriorConfig,
     SievePriorConfig,
     SmoothPriorConfig,
+    gp_draw,
     stick_weights,
 )
 from simlab.shifts import (
@@ -1037,6 +1043,26 @@ class TestSmoothLogMass:
         assert move.pcn_accepted > 0
 
 
+class TestPcnRefusal:
+    def test_proposal_outside_twice_the_ball_changes_nothing(self):
+        obs = simulate(TRUTH, raised_cosine_density(), 12, 2, seed=7)
+        sampler = GibbsSampler(obs, smooth_prior(12), np.random.default_rng(12))
+        sampler.sweep()
+        move = sampler.shift_move
+        # every proposal has a radius above 2e-6, so every one is refused
+        move.cfg = dataclasses.replace(move.cfg, radius=1e-6)
+        w, g, log_mass = move.w_process.copy(), move.g_density, move.log_mass
+        proposed, accepted = move.pcn_proposed, move.pcn_accepted
+        twin = copy.deepcopy(sampler.rng)
+        sampler.update_shift_distribution()
+        assert np.array_equal(move.w_process, w) and move.g_density is g
+        assert move.log_mass == log_mass
+        assert (move.pcn_proposed, move.pcn_accepted) == (proposed + 1, accepted)
+        # a refused proposal draws no acceptance uniform: only the process
+        gp_draw(move.cfg, twin)
+        assert sampler.rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestShiftGrid:
     def test_smooth_prior_grid_is_the_shift_grid(self):
         obs = simulate(TRUTH, raised_cosine_density(), 10, 2, seed=11)
@@ -1081,3 +1107,38 @@ class TestCutoffZero:
         obs = simulate(TRUTH, uniform_density(), 10, 0, seed=3)
         with pytest.raises(ValueError, match="field 'cutoff'"):
             GibbsSampler(obs, dp_prior(10), np.random.default_rng(0))
+
+
+def _run(**kwargs):
+    return lambda obs, rng: partial(GibbsSampler(obs, dp_prior(obs.n), rng).run, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (_run(steps=5, burn_in=10, thin=1), "burn_in"),
+        (_run(steps=5, burn_in=5, thin=1), "burn_in"),
+        (_run(steps=5, burn_in=-1, thin=1), "burn_in"),
+        (_run(steps=5, burn_in=0, thin=0), "thin"),
+        (_run(steps=5, burn_in=0, thin=-2), "thin"),
+        (_run(steps=0, burn_in=0, thin=1), "steps"),
+        (lambda obs, rng: partial(gibbs_posterior, obs, dp_prior(obs.n), 6, rng, max_kept=0),
+         "max_kept"),
+        (lambda obs, rng: partial(gibbs_posterior, obs, dp_prior(obs.n), 6, rng, max_kept=-3),
+         "max_kept"),
+        (lambda obs, rng: partial(importance_posterior, obs, dp_prior(obs.n), 0, rng),
+         "draws"),
+        (lambda obs, rng: partial(contraction_experiment, TRUTH, uniform_density(),
+                                  [200, 100], ContractionConfig(), rng),
+         "sample sizes must be increasing"),
+    ],
+)
+def test_refused_before_any_draw(make, named):
+    # each refusal names its argument, before a sweep or a draw moves the stream
+    obs = simulate(TRUTH, raised_cosine_density(), 10, 2, seed=5)
+    rng = np.random.default_rng(3)
+    call = make(obs, rng)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=named):
+        call()
+    assert rng.bit_generator.state == state

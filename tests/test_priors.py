@@ -190,6 +190,11 @@ class TestStickBreaking:
 
 
 class TestIntegrationOperator:
+    @pytest.mark.parametrize("values", [[3.7], [], [[0.0, 1.0], [1.0, 0.0]]])
+    def test_needs_a_closed_grid(self, values):
+        with pytest.raises(ValueError, match="closed uniform grid"):
+            j_operator(np.array(values))
+
     def test_constant_maps_to_zero(self):
         out = j_operator(np.full(1025, 3.7))
         assert np.max(np.abs(out)) < 1e-12

@@ -16,7 +16,6 @@ from simlab.shifts import (
     cumulative_trapezoid,
     discretize,
     fourier_coeff,
-    in_class,
     raised_cosine_density,
     sample,
     shift_from_json,
@@ -58,6 +57,35 @@ class TestInvariants:
     def test_fourier_negative_reconstruction(self):
         with pytest.raises(ValueError):
             FourierDensity(np.array([0.9, 1.0, 0.9], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda: Discrete(np.full((2, 2), 0.25), np.full((2, 2), 0.25)), "1-d arrays"),
+            (lambda: Discrete(np.array([0.1, 0.2]), np.array([1.0])), "equal length"),
+            (lambda: Discrete(np.array([0.1, 0.2]), np.array([1.5, -0.5])),
+             "weights must be nonnegative"),
+            (lambda: FourierDensity(np.array([0.5, 1.0])), "odd length"),
+            (lambda: raised_cosine_density(64, 1.5), "amplitude"),
+            (lambda: sobolev_radius(uniform_density(), 0.4), "nu >= 1/2"),
+            # 2 on odd nodes of a 4-interval grid: zero at both nodes 0 and 1/2
+            (lambda: GridDensity(np.array([0.0, 2.0, 0.0, 2.0, 0.0])).nodes(2),
+             "degenerate shift density"),
+        ],
+    )
+    def test_refusals(self, call, named):
+        with pytest.raises(ValueError, match=named):
+            call()
+
+    def test_fourier_density_translate_rotates_coefficients(self):
+        # a shift by a multiple of the grid step moves the synthesized
+        # values exactly, so c_k picks up the phase e^{-i 2 pi k delta}
+        g = FourierDensity(np.array([0.1 - 0.05j, 0.2j, 1.0, -0.2j, 0.1 + 0.05j]))
+        moved = g.translate(0.25)
+        assert isinstance(moved, GridDensity)
+        ks = np.arange(1, 3)
+        want = g.fourier(ks) * np.exp(-2j * np.pi * ks * 0.25)
+        assert np.allclose(moved.fourier(ks), want, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.filterwarnings("error")
@@ -281,9 +309,9 @@ class TestSmoothnessRadius:
         assert sobolev_radius(g, 1.5) == pytest.approx(expected, rel=1e-12)
 
     def test_in_class(self):
+        # 1 + cos(2 pi x): c_{+-1} = 1/2, so the radius is sqrt(1/2) at any nu
         rc = raised_cosine_density()
-        assert in_class(rc, 1.0, 1.0)
-        assert not in_class(rc, 1.0, 0.5)
+        assert 0.5 < sobolev_radius(rc, 1.0) < 1.0
 
     def test_atom_rejected(self):
         with pytest.raises(TypeError):

@@ -8,10 +8,12 @@ sampler's exact draw.  The shift integral's row layout, its factor and its
 basis live in ``mixture``, and the rows have three builders: the log
 density, the exact draw and the smooth prior's block-envelope draw.
 Threads and stream splits have one owner, ``model.task_map``, whose per-task
-children keep an output independent of the worker count.
+children keep an output independent of the worker count.  Every export
+resolves, so a deletion leaves no stale name behind.
 """
 
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "simlab"
@@ -98,3 +100,20 @@ def test_task_map_callers():
         ("cli.py", "distance_verification_rows"),
         ("nets.py", "fano_tv_certificate"),
     ]
+
+
+def test_exports_resolve():
+    # each module's __all__ names what it defines, and the package imports
+    # from its modules only names listed in their __all__
+    for path in sorted(SRC.glob("[!_]*.py")):
+        module = importlib.import_module(f"simlab.{path.stem}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], path.name
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse((SRC / "__init__.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert len(imported) > 50
+    for module, name in imported:
+        assert name in importlib.import_module(f"simlab.{module}").__all__, (module, name)
