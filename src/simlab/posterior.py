@@ -262,9 +262,9 @@ class _SmoothShifts:
         self.basis = _fourier_basis(ks, self.grid)
         # the shift draw's blocks of isqrt(grid) points: their edges, the basis
         # at their centres, and the largest distance from a centre to its points
-        block = math.isqrt(cfg.grid)
-        self.edges = np.append(np.arange(0, cfg.grid, block), cfg.grid)
-        centres = (self.edges[:-1] + self.edges[1:] - 1) / (2.0 * cfg.grid)
+        self.block = block = math.isqrt(cfg.grid)
+        edges = np.append(np.arange(0, cfg.grid, block), cfg.grid)
+        centres = (edges[:-1] + edges[1:] - 1) / (2.0 * cfg.grid)
         self.centre_basis = _fourier_basis(ks, centres)
         self.half_width = (block - 1) / (2.0 * cfg.grid)
         self.g_density, self.w_process = sample_smooth_with_process(cfg, rng)
@@ -305,14 +305,19 @@ class _SmoothShifts:
             b, absb, slack = b[near], absb[near], slack[near]
         coef = _shifted_rows(b, absb, log_g)[:, : 2 * width]
         bound = coef @ np.vstack(_window(self.centre_basis, width))
-        # g's cumulative masses from 0: a block's mass is a difference of
-        # two, and a point inside it is a search of the remainder
-        cdf = np.zeros(log_g.size + 1)
-        np.cumsum(np.exp(log_g - log_g.max()), out=cdf[1:])
-        low, mass = cdf[self.edges[:-1]], np.diff(cdf[self.edges])
-        top = np.nextafter(cdf[self.edges[1:]], 0.0)
+        # g's cumulative masses within each block, from the block's largest
+        # weight: a light block after heavy ones keeps its mass (a difference
+        # of cumulative masses from 0 would round it away), and a point
+        # inside a block is a search of its own row
+        rows_g = np.full(self.centre_basis.shape[1] * self.block, -np.inf)
+        rows_g[: log_g.size] = log_g
+        rows_g = rows_g.reshape(-1, self.block)
+        peak = rows_g.max(axis=1)
+        peak[np.isneginf(peak)] = 0.0  # a block of zero mass
+        cdf = np.zeros((peak.size, self.block + 1))
+        np.cumsum(np.exp(rows_g - peak[:, None]), axis=1, out=cdf[:, 1:])
         with np.errstate(divide="ignore"):
-            log_w = bound + np.log(mass)
+            log_w = bound + (peak + np.log(cdf[:, -1]))
         outer = np.cumsum(np.exp(log_w - log_w.max(axis=1, keepdims=True)), axis=1)
         # a row's slack is the same on all its blocks: it enters the acceptance only
         bound += slack[:, None]
@@ -322,8 +327,7 @@ class _SmoothShifts:
             rows = np.repeat(pending, tries)
             u = rng.random((3, rows.size))
             blk = _search(outer[rows], u[0] * outer[rows, -1])
-            x = np.searchsorted(cdf, np.minimum(low[blk] + u[1] * mass[blk], top[blk]),
-                                side="right") - 1
+            x = blk * self.block + _search(cdf[blk], u[1] * cdf[blk, -1]) - 1
             t = np.einsum("ij,ij->i", coef[rows], points[x])
             ok = (u[2] < np.exp(t - bound[rows, blk])).reshape(-1, tries)
             hit = ok.any(axis=1)

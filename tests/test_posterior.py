@@ -795,6 +795,19 @@ class TestBlockRejection:
             sampler.sweep()
         assert sampler.assignments.min() >= 0 and sampler.assignments.max() < 1024
 
+    def test_light_block_after_heavy_keeps_its_mass(self):
+        # g puts e^-37 of its mass on the second point, below the rounding of
+        # a cumulative mass of 1; the data's logit gap of 800 makes that
+        # point the conditional's all but certain draw
+        move = _smooth_move(2)
+        log_w = np.array([24.0, -13.0])
+        move.w_process, move.log_mass = np.append(log_w, log_w[0]), 0.0
+        b = np.tile([0.0, 0.0, -200.0 + 0j], (5, 1))  # t(x) = -400 cos(2 pi x)
+        logits = _explicit_logits(b, np.arange(-1, 2), move.grid, log_w)
+        assert np.all(logits[:, 1] - logits[:, 0] > 700.0)
+        idx = move.draw(b, _CappedUniforms(np.random.default_rng(0), cap=3 * 400 * 5))
+        np.testing.assert_array_equal(idx, 1)
+
     @settings(max_examples=200, deadline=None)
     @given(
         data=st.data(),
