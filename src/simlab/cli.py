@@ -242,12 +242,14 @@ def _cmd_posterior(args) -> int:
 
 
 def _cmd_contraction(args) -> int:
-    theta = series_from_json(_load_json(os.path.join(args.truth, "theta.json")))
-    g = shift_from_json(_load_json(os.path.join(args.truth, "g.json")))
     try:
         n_list = [int(x) for x in args.ns.split(",") if x]
     except ValueError as exc:
         raise ValidationError(f"bad --ns list: {args.ns!r}") from exc
+    if not n_list:
+        raise ValidationError(f"--ns names no sample size: {args.ns!r}")
+    theta = series_from_json(_load_json(os.path.join(args.truth, "theta.json")))
+    g = shift_from_json(_load_json(os.path.join(args.truth, "g.json")))
     cfg = ContractionConfig(
         s=args.s,
         sigma=args.sigma,
@@ -369,8 +371,6 @@ def distance_verification_rows(
 
 
 def _cmd_verify(args) -> int:
-    if args.suite != "distances":
-        raise ValidationError(f"unknown suite {args.suite!r}")
     rng = np.random.default_rng(args.seed)
     rows = distance_verification_rows(args.instances, args.samples, rng, args.threads)
     _write_csv(args.out, ["check", "value", "bound", "std_error", "pass"], rows)
@@ -389,15 +389,17 @@ def _cmd_bessel_table(args) -> int:
     return 0
 
 
-def _bounded(kind, low: float, strict: bool = False):
+def _bounded(kind, low: float, strict: bool = False, high: float = math.inf):
     """argparse type: a finite ``kind`` value at least ``low`` (above it
-    with ``strict``); argparse names the flag when it is refused."""
+    with ``strict``) and at most ``high``; argparse names the flag when it
+    is refused."""
 
     def parse(text: str):
         value = kind(text)
-        if math.isfinite(value) and (value > low if strict else value >= low):
+        if math.isfinite(value) and (low < value <= high if strict else low <= value <= high):
             return value
         bound = f"{'>' if strict else '>='} {low}"
+        bound += f" and <= {high}" if high < math.inf else ""
         raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text!r}")
 
     parse.__name__ = kind.__name__  # argparse's "invalid int value" message
@@ -412,16 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=_bounded(int, 0), default=0)
-        p.add_argument(
-            "--threads",
-            type=_bounded(int, 1),
-            default=1,
-            help="worker threads (at most the usable cores) for fano-net --certify"
-            " and verify, whose outputs do not depend on the value; other"
-            " subcommands ignore it",
-        )
+    def common(p, seed: bool = True, threads: bool = False):
+        if seed:
+            p.add_argument("--seed", type=_bounded(int, 0), default=0)
+        if threads:
+            p.add_argument("--threads", type=_bounded(int, 1), default=1,
+                           help="worker threads, at most the usable cores;"
+                           " the outputs do not depend on the value")
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", help="draw curves from the shifted-curve model")
@@ -467,21 +466,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=_bounded(float, 0.0, strict=True), default=2.0)
     p.add_argument("--certify", action="store_true")
     p.add_argument("--samples", type=_bounded(int, 2), default=100_000)
-    common(p)
+    common(p, threads=True)
     p.set_defaults(func=_cmd_fano_net)
 
     p = sub.add_parser("verify", help="distance-inequality report")
-    p.add_argument("--suite", required=True)
     p.add_argument("--instances", type=_bounded(int, 1), default=20)
     p.add_argument("--samples", type=_bounded(int, 2), default=20_000)
-    common(p)
+    common(p, threads=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bessel-table", help="tabulate I_n and A_n")
     p.add_argument("--n-max", dest="n_max", type=_bounded(int, 0), default=20)
-    p.add_argument("--a-max", dest="a_max", type=_bounded(float, 0.0), default=10.0)
+    # e^a overflows a double above 709.7827...; 709.78 leaves room for the
+    # grid's last node, which may round a little past --a-max
+    p.add_argument("--a-max", dest="a_max", type=_bounded(float, 0.0, high=709.78),
+                   default=10.0)
     p.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=0.5)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_bessel_table)
 
     return parser

@@ -95,8 +95,8 @@ def fano_g_net(p: int, beta: float, nu: float, radius: float) -> list[FourierDen
     """
     from scipy.special import zeta  # scipy loads only where it is used
 
-    if beta <= nu + 0.5:
-        raise ValueError("need beta > nu + 1/2")
+    if beta <= max(1.0, nu + 0.5):  # zeta(beta) is finite and positive only above 1
+        raise ValueError(f"field 'beta': need beta > max(1, nu + 1/2), got {beta!r}")
     k_max = 6 * p
     # two constraints: the regularity radius (first branch) and the
     # coefficient l1 norm <= 1, which certifies nonnegativity uniformly
@@ -111,17 +111,13 @@ def fano_g_net(p: int, beta: float, nu: float, radius: float) -> list[FourierDen
     base[nz] = amp * np.abs(ks[nz]).astype(float) ** (-beta)
     base[k_max] = 1.0
     d = p // 4
+    m = (ks + d) % p - d  # representative of k mod p in [-d, p-d)
+    twist = (np.abs(m) <= d) & nz
+    ell = (ks[twist] - m[twist]) // p
     out = []
-    for j in range(1, p + 1):
-        alpha = (j - 1) / p
+    for j in range(p):
         coeffs = base.copy()
-        for idx, r in enumerate(ks):
-            if r == 0:
-                continue
-            m = ((r + d) % p) - d  # representative of r mod p in [-d, p-d)
-            if abs(m) <= d:
-                ell = (r - m) // p
-                coeffs[idx] = base[idx] * np.exp(-2j * np.pi * ell * alpha)
+        coeffs[twist] = base[twist] * np.exp(-2j * np.pi * ell * (j / p))
         out.append(FourierDensity(coeffs))
     return out
 

@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, determinism, artifacts, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -125,13 +126,16 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
-    def test_bad_threads_rejected(self, tmp_path, truth_files):
+    def test_bad_threads_rejected(self, tmp_path, truth_files, capsys):
+        # simulate runs no threads, so it takes no --threads at all
         theta_path, g_path = truth_files
         code = main(
             ["simulate", "--theta", theta_path, "--g", g_path, "--n", "3",
-             "--cutoff", "1", "--threads", "0", "--out", str(tmp_path / "x.json")]
+             "--cutoff", "1", "--threads", "2", "--out", str(tmp_path / "x.json")]
         )
         assert code == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "run.json").exists()
 
 
 class TestPriorSampleCommand:
@@ -171,20 +175,13 @@ class TestVerifyCommand:
     def test_report_all_pass(self, tmp_path):
         out = tmp_path / "report.csv"
         code = main(
-            ["verify", "--suite", "distances", "--seed", "7",
-             "--instances", "4", "--samples", "8000", "--out", str(out)]
+            ["verify", "--seed", "7", "--instances", "4", "--samples", "8000", "--out", str(out)]
         )
         assert code == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 20
         assert all(row["pass"] == "True" for row in rows)
-
-    def test_unknown_suite(self, tmp_path):
-        code = main(
-            ["verify", "--suite", "nope", "--out", str(tmp_path / "r.csv")]
-        )
-        assert code == 1
 
     def test_non_finite_density_is_numerical_failure(
         self, tmp_path, monkeypatch, capsys
@@ -193,9 +190,7 @@ class TestVerifyCommand:
             raise NonFiniteDensityError("non-finite density ratio in TV/H2 estimate")
 
         monkeypatch.setattr(cli, "distance_verification_rows", failing_rows)
-        code = main(
-            ["verify", "--suite", "distances", "--out", str(tmp_path / "r.csv")]
-        )
+        code = main(["verify", "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "run.json").exists()
@@ -205,12 +200,10 @@ class TestVerifyCommand:
             return [["tv_shape_0", 0.5, 0.1, 0.01, False]]
 
         monkeypatch.setattr(cli, "distance_verification_rows", one_failing_row)
-        code = main(
-            ["verify", "--suite", "distances", "--out", str(tmp_path / "r.csv")]
-        )
+        code = main(["verify", "--out", str(tmp_path / "r.csv")])
         assert code == 2
         run = json.loads((tmp_path / "run.json").read_text())
-        assert run["command"] == "verify" and run["suite"] == "distances"
+        assert run["command"] == "verify" and run["instances"] == 20
 
     def test_rows_independent_of_workers(self):
         rows = [distance_verification_rows(3, 1_000, np.random.default_rng(11), workers)
@@ -220,8 +213,7 @@ class TestVerifyCommand:
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        args = ["verify", "--suite", "distances", "--seed", "3",
-                "--instances", "2", "--samples", "4000"]
+        args = ["verify", "--seed", "3", "--instances", "2", "--samples", "4000"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -243,6 +235,17 @@ class TestBesselTableCommand:
 
 
 class TestFanoNetCommand:
+    @pytest.mark.parametrize("beta", ["1.0", "0.8"])
+    def test_beta_at_most_one_refused(self, tmp_path, capsys, beta):
+        # beta > nu + 1/2 holds, but zeta(beta) is infinite or negative
+        out = tmp_path / "net"
+        code = main(["fano-net", "--p", "4", "--nu", "0.2", "--beta", beta,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: field 'beta': ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_net_and_certificate(self, tmp_path):
         out = tmp_path / "net"
         code = main(
@@ -286,8 +289,8 @@ class TestFanoNetCommand:
     [
         (["fano-net", "--p", "4", "--certify", "--samples", "3000", "--seed", "2"],
          "net", "net/certificate.csv"),
-        (["verify", "--suite", "distances", "--instances", "3", "--samples", "1500",
-          "--seed", "7"], "report.csv", "report.csv"),
+        (["verify", "--instances", "3", "--samples", "1500", "--seed", "7"],
+         "report.csv", "report.csv"),
     ],
     ids=["fano-net", "verify"],
 )
@@ -393,6 +396,18 @@ class TestContractionCommand:
             rows = list(csv.DictReader(fh))
         assert [row["n"] for row in rows] == ["12", "25"]
         assert float(rows[0]["eps_n"]) > 0
+
+    @pytest.mark.parametrize("control", [[], ["--no-control"]])
+    def test_empty_ns_refused(self, tmp_path, capsys, control):
+        # without a sample size the table would hold only its header (or
+        # only the control row)
+        out = tmp_path / "table.csv"
+        code = main(["contraction", "--truth", str(tmp_path), "--ns", ",", *control,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --ns ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 def _prior_sample(tmp_path, kind, text):
@@ -518,6 +533,41 @@ class TestConfigKeys:
                 assert named.group(1) in known, str(exc)
 
 
+class TestFlagSets:
+    # every flag a subcommand takes is read by it
+    FLAGS = {
+        "simulate": "--theta --g --n --cutoff --sigma --seed --out",
+        "prior-sample": "--kind --config --count --seed --out",
+        "posterior": "--data --prior --steps --seed --out",
+        "contraction": "--truth --ns --s --sigma --cutoff --steps --control-n"
+                       " --no-control --seed --out",
+        "fano-net": "--p --s --beta --nu --A --certify --samples --seed --threads --out",
+        "verify": "--instances --samples --seed --threads --out",
+        "bessel-table": "--n-max --a-max --step --out",
+    }
+
+    def test_each_subcommand_has_exactly_its_flags(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: sorted(flag for action in p._actions for flag in action.option_strings
+                         if flag not in ("-h", "--help"))
+            for name, p in sub.choices.items()
+        }
+        assert got == {name: sorted(flags.split()) for name, flags in self.FLAGS.items()}
+
+    # simulate's --threads: TestSimulateCommand::test_bad_threads_rejected
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["bessel-table", "--seed", "1"], "--seed"),
+         (["verify", "--suite", "distances"], "--suite")],
+    )
+    def test_flag_not_read_is_refused(self, tmp_path, capsys, argv, flag):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFlagBounds:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -528,14 +578,16 @@ class TestFlagBounds:
             (["bessel-table", "--step", "0"], "--step"),
             (["bessel-table", "--n-max", "-1"], "--n-max"),
             (["bessel-table", "--a-max", "inf"], "--a-max"),
-            (["verify", "--suite", "distances", "--instances", "0"], "--instances"),
+            (["verify", "--instances", "0"], "--instances"),
             (["prior-sample", "--kind", "dp", "--config", "c", "--count", "0"], "--count"),
             (["fano-net", "--samples", "1"], "--samples"),
             (["fano-net", "--beta", "nan"], "--beta"),
-            (["simulate", "--theta", "t", "--g", "g", "--n", "3", "--cutoff", "1",
-              "--threads", "0"], "--threads"),
+            (["fano-net", "--threads", "0"], "--threads"),
             (["simulate", "--theta", "t", "--g", "g", "--n", "3", "--cutoff", "1",
               "--seed", "-1"], "--seed"),
+            # e^1000 overflows a double
+            (["bessel-table", "--n-max", "2", "--a-max", "1000", "--step", "500"],
+             "--a-max"),
         ],
     )
     def test_bad_flag_named(self, tmp_path, capsys, argv, flag):
@@ -587,22 +639,23 @@ def fuzz_inputs(tmp_path_factory):
 # relative to the fuzz input directory
 FUZZ_RUNS = {
     "simulate": (["--theta", "theta.json", "--g", "g.json"],
-                 {"--n": "4", "--cutoff": "2", "--sigma": "1.0"}),
-    "prior-sample": (["--kind", "dp", "--config", "dp.cfg"], {"--count": "2"}),
-    "posterior": (["--data", "obs.json", "--prior", "post.cfg"], {"--steps": "3"}),
+                 {"--n": "4", "--cutoff": "2", "--sigma": "1.0", "--seed": "1"}),
+    "prior-sample": (["--kind", "dp", "--config", "dp.cfg"],
+                     {"--count": "2", "--seed": "1"}),
+    "posterior": (["--data", "obs.json", "--prior", "post.cfg"],
+                  {"--steps": "3", "--seed": "1"}),
     "contraction": (["--truth", "truth", "--no-control"],
                     {"--ns": "12", "--s": "1.0", "--sigma": "1.0", "--cutoff": "2",
-                     "--steps": "3", "--control-n": "20"}),
+                     "--steps": "3", "--control-n": "20", "--seed": "1"}),
     "fano-net": (["--certify"],
                  {"--p": "2", "--s": "1.0", "--beta": "2.5", "--nu": "1.5",
-                  "--A": "2.0", "--samples": "200"}),
-    "verify": (["--suite", "distances"], {"--instances": "1", "--samples": "200"}),
+                  "--A": "2.0", "--samples": "200", "--seed": "1", "--threads": "1"}),
+    "verify": ([], {"--instances": "1", "--samples": "200", "--seed": "1",
+                    "--threads": "1"}),
     "bessel-table": ([], {"--n-max": "2", "--a-max": "1.0", "--step": "0.5"}),
 }
 FUZZ_FLAGS = [
-    (command, flag)
-    for command, (_, numeric) in FUZZ_RUNS.items()
-    for flag in itertools.chain(numeric, ["--seed", "--threads"])
+    (command, flag) for command, (_, numeric) in FUZZ_RUNS.items() for flag in numeric
 ]
 
 
@@ -615,7 +668,7 @@ class TestCliFuzz:
     def test_one_bad_flag_never_tracebacks(self, fuzz_inputs, target, value):
         command, flag = target
         fixed, numeric = FUZZ_RUNS[command]
-        flags = {**numeric, "--seed": "1", "--threads": "1", flag: value}
+        flags = {**numeric, flag: value}
         cwd = os.getcwd()
         err = io.StringIO()
         with tempfile.TemporaryDirectory(dir=fuzz_inputs) as out:

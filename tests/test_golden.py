@@ -12,7 +12,8 @@ line per file: ``unchanged``, or ``changed`` and whether its skeleton
 (the bytes with every number masked: keys, CSV header, PASS/FAIL text)
 is identical; for an identical skeleton, also how many numbers moved and
 the largest relative move; for a JSON file whose skeleton differs, whether
-it parses to the same values (a change of layout only).
+it parses to the same values (a change of layout only) and which
+top-level keys were added or removed.
 """
 
 import json
@@ -91,8 +92,8 @@ CASES = {
         0,
     )],
     "verify": [(
-        ["verify", "--suite", "distances", "--instances", "2", "--samples", "2000",
-         "--seed", "7", "--out", "out/report.csv"],
+        ["verify", "--instances", "2", "--samples", "2000", "--seed", "7",
+         "--out", "out/report.csv"],
         0,
     )],
     "bessel_table": [(
@@ -176,6 +177,14 @@ def same_values(old: bytes, new: bytes) -> bool:
     return old == new
 
 
+def key_changes(old: bytes, new: bytes) -> str:
+    """The top-level keys of one JSON object missing from the other, as
+    ``keys added: ...`` and ``keys removed: ...``; empty when they agree."""
+    old, new = (set(json.loads(data)) for data in (old, new))
+    changes = (("added", new - old), ("removed", old - new))
+    return ", ".join(f"keys {what}: {', '.join(sorted(keys))}" for what, keys in changes if keys)
+
+
 def test_number_moves_counts_changed_numbers():
     old = b'{"H2": -1.5e-07, "seed": 4}\nn,eps_n\n12,0.5\n'
     assert number_moves(old, old) == (0, 0.0)
@@ -193,6 +202,13 @@ def test_same_values_ignores_layout_only():
     assert not same_values(old, b'{"a": 0.0, "b": [1.5, NaN]}')
     assert not same_values(old, b'{"a": -0.0, "b": [1.5000000000000002, NaN]}')
     assert not same_values(b'{"a": 1}', b'{"a": 1.0}')
+
+
+def test_key_changes_names_top_level_keys_only():
+    old = b'{"seed": 0, "threads": 1, "cfg": {"x": 1}}'
+    assert key_changes(old, old) == ""
+    assert key_changes(old, b'{"cfg": {"y": 1}, "seed": 2}') == "keys removed: threads"
+    assert key_changes(b'{"a": 1}', b'{"c": 1, "b": 2}') == "keys added: b, c, keys removed: a"
 
 
 def test_skeleton_masks_numbers_only():
@@ -240,4 +256,6 @@ if __name__ == "__main__":
                     line += f", {count} numbers moved, largest relative move {worst:.1e}"
                 elif line == "changed, skeleton differs" and fname.endswith(".json"):
                     line += f", values {'equal' if same_values(before, after) else 'differ'}"
+                    if keys := key_changes(before, after):
+                        line += f", {keys}"
                 print(f"{case}/{fname}: {line}")

@@ -106,6 +106,13 @@ class TestFanoDensities:
         with pytest.raises(ValueError):
             fano_g_net(8, 1.5, 1.5, 2.0)
 
+    @pytest.mark.parametrize("beta", [1.0, 0.8])
+    def test_beta_at_most_one_refused(self, beta):
+        # zeta(1) is infinite and zeta(0.8) negative: the amplitude 1/(2 zeta)
+        # would be 0 or negative although beta > nu + 1/2
+        with pytest.raises(ValueError, match=r"^field 'beta': need beta > max\(1, nu"):
+            fano_g_net(4, beta, 0.2, 2.0)
+
 
 class TestFanoCertificate:
     def test_reference_member_distance_vanishes(self):
