@@ -246,8 +246,8 @@ def _cmd_contraction(args) -> int:
         n_list = [int(x) for x in args.ns.split(",") if x]
     except ValueError as exc:
         raise ValidationError(f"bad --ns list: {args.ns!r}") from exc
-    if not n_list:
-        raise ValidationError(f"--ns names no sample size: {args.ns!r}")
+    if not (n_list and n_list[0] >= 2 and np.all(np.diff(n_list) > 0)):
+        raise ValidationError(f"--ns needs increasing sample sizes >= 2, got {args.ns!r}")
     theta = series_from_json(_load_json(os.path.join(args.truth, "theta.json")))
     g = shift_from_json(_load_json(os.path.join(args.truth, "g.json")))
     cfg = ContractionConfig(
@@ -379,6 +379,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bessel_table(args) -> int:
     a_values = np.arange(0.0, args.a_max + 1e-12, args.step)
+    a_values = np.unique(np.minimum(a_values, args.a_max))  # no node past --a-max
     values = np.exp(a_values)[:, None] * bessel_i_scaled_orders(args.n_max, a_values)
     rows = [
         [n, float(a), float(v), 2.0 * math.pi * float(v)]
@@ -477,10 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bessel-table", help="tabulate I_n and A_n")
     p.add_argument("--n-max", dest="n_max", type=_bounded(int, 0), default=20)
-    # e^a overflows a double above 709.7827...; 709.78 leaves room for the
-    # grid's last node, which may round a little past --a-max
-    p.add_argument("--a-max", dest="a_max", type=_bounded(float, 0.0, high=709.78),
-                   default=10.0)
+    p.add_argument("--a-max", dest="a_max", default=10.0,  # e^a overflows past it
+                   type=_bounded(float, 0.0, high=math.log(sys.float_info.max)))
     p.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=0.5)
     common(p, seed=False)
     p.set_defaults(func=_cmd_bessel_table)

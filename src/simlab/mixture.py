@@ -17,7 +17,7 @@ import numpy as np
 
 from .fourier import FourierSeries, h1_norm, project
 from .model import ObservationSet
-from .shifts import FourierDensity, GridDensity, ShiftDistribution
+from .shifts import GridDensity, ShiftDistribution
 from .shifts import sample as sample_shift
 from .special import bessel_i_scaled_orders, complex_gaussian_array
 
@@ -181,8 +181,7 @@ def _node_stride(law: MixtureLaw, absb: np.ndarray, w: np.ndarray) -> int:
 def _budget_nodes(law: MixtureLaw):
     """Budget nodes and weights, and whether the law's grid lets the rule thin them."""
     k0 = law.quadrature_points or default_quadrature_points(law.theta)
-    g = law.g.to_grid() if isinstance(law.g, FourierDensity) else law.g
-    return *g.nodes(k0), isinstance(g, GridDensity) and g.m % k0 == 0
+    return *law.g.nodes(k0), isinstance(law.g, GridDensity) and law.g.m % k0 == 0
 
 
 def _shift_nodes(law: MixtureLaw, absb: np.ndarray, budget=None):

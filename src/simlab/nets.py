@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class FanoNet:
     radius: float
     fs: list = field(repr=False)
     gs: list = field(repr=False)
-
-    @cached_property
-    def grids(self) -> list:  # the shift densities on the default grid, once
-        return [g.to_grid() for g in self.gs]
 
 
 def fano_f_net(p: int, s: float) -> list[FourierSeries]:
@@ -155,11 +151,11 @@ def fano_tv_certificate(
     allows) is already exact to well below the certificate gaps.  The ``2 p``
     estimates run on ``workers`` threads, each on its own stream (``task_map``).
     """
-    grids, freqs = net.grids, (1, net.p)
-    ref = MixtureLaw(net.fs[0], grids[0], 256, freqs)
+    gs, freqs = net.gs, (1, net.p)
+    ref = MixtureLaw(net.fs[0], gs[0], 256, freqs)
     laws = [  # member j's matched law, then its mismatched one; member 1 is ref
         MixtureLaw(f, g, 256, freqs) if j else ref
-        for j, f in enumerate(net.fs) for g in (grids[j], grids[0])
+        for j, f in enumerate(net.fs) for g in (gs[j], gs[0])
     ]
     tv = task_map(lambda law, child: mc_distance(law, ref, "TV", samples, child),
                   laws, rng, workers)

@@ -60,7 +60,6 @@ __all__ = [
     "ContractionConfig",
     "contraction_experiment",
     "align_pair",
-    "shift_measure",
 ]
 
 # pCN step size of the smooth prior's Gaussian-process move
@@ -134,12 +133,6 @@ class PosteriorEnsemble:
         return acc
 
 
-def shift_measure(g: ShiftDistribution, delta: float) -> ShiftDistribution:
-    """Translate a shift distribution: the new measure of ``A`` is the old
-    measure of ``A - delta`` (densities move as ``x -> x - delta``)."""
-    return g.translate(float(delta) % 1.0)
-
-
 def align_pair(
     theta: FourierSeries, g: ShiftDistribution
 ) -> tuple[FourierSeries, ShiftDistribution]:
@@ -150,7 +143,7 @@ def align_pair(
     as they are.
     """
     c = _gauge(theta)
-    return (theta, g) if c is None else (rotate(theta, c), shift_measure(g, -c))
+    return (theta, g) if c is None else (rotate(theta, c), g.translate(-c % 1.0))
 
 
 def _gauge(theta: FourierSeries) -> float | None:

@@ -187,13 +187,16 @@ class GridDensity(ShiftDistribution):
 
 
 @dataclass(frozen=True)
-class FourierDensity(ShiftDistribution):
+class FourierDensity(GridDensity):
     """Truncated coefficient vector ``c_k, |k| <= K`` of a density.
 
     Requires ``c_0 = 1`` and Hermitian symmetry; the synthesized density
-    must be nonnegative up to a small rounding tolerance.
+    must be nonnegative up to a small rounding tolerance.  Its ``values``
+    are that synthesis on the closed ``DEFAULT_GRID`` grid, tabulated once,
+    so it samples, translates and takes shift nodes as that grid law.
     """
 
+    values: np.ndarray = field(init=False, repr=False)
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -208,8 +211,8 @@ class FourierDensity(ShiftDistribution):
             raise ValueError("c_0 must equal 1")
         if np.max(np.abs(c[::-1].conj() - c)) > 1e-9:
             raise ValueError("coefficients must be Hermitian (c_{-k} = conj(c_k))")
-        if not float(np.min(self.reconstruct())) >= -_NEG_TOL:
-            raise ValueError("reconstructed density is negative beyond tolerance")
+        object.__setattr__(self, "values", self.on_grid(DEFAULT_GRID))
+        super().__post_init__()
 
     @property
     def k_max(self) -> int:
@@ -221,10 +224,14 @@ class FourierDensity(ShiftDistribution):
         return evaluate(FourierSeries(self.k_max, self.coeffs), t).real
 
     def to_grid(self, m: int = DEFAULT_GRID) -> GridDensity:
+        return GridDensity(self.on_grid(m))
+
+    def on_grid(self, m: int) -> np.ndarray:
+        """The synthesis on the closed m-grid, clipped at 0."""
         vals = self.reconstruct(m)
-        if float(vals.min()) < -_NEG_TOL:
+        if not float(vals.min()) >= -_NEG_TOL:
             raise ValueError("reconstructed density is negative beyond tolerance")
-        return GridDensity(np.clip(vals, 0.0, None))
+        return np.clip(vals, 0.0, None)
 
     def fourier(self, ks: np.ndarray) -> np.ndarray:
         flat = np.atleast_1d(ks)
@@ -232,18 +239,6 @@ class FourierDensity(ShiftDistribution):
         inside = np.abs(flat) <= self.k_max
         out[inside] = self.coeffs[flat[inside] + self.k_max]
         return out.reshape(np.shape(ks))
-
-    def quantile(self, u) -> np.ndarray:
-        return self.to_grid().quantile(u)
-
-    def nodes(self, k: int):
-        return self.to_grid().nodes(k)
-
-    def on_grid(self, m: int) -> np.ndarray:
-        return self.to_grid(m).on_grid(m)
-
-    def translate(self, delta: float) -> GridDensity:
-        return self.to_grid().translate(delta)
 
     def radius_cutoff(self) -> int:
         return self.k_max
@@ -303,7 +298,7 @@ def tv_density(g: ShiftDistribution, g_tilde: ShiftDistribution) -> float:
     pair = (g, g_tilde)
     if any(isinstance(x, Discrete) for x in pair):
         raise TypeError("density-based distance needs grid or Fourier inputs")
-    m = max(x.m if isinstance(x, GridDensity) else DEFAULT_GRID for x in pair)
+    m = max(x.m for x in pair)
     ga, gb = (GridDensity(x.on_grid(m)) for x in pair)
     return float(0.5 * np.trapezoid(np.abs(ga.values - gb.values), ga.grid))
 

@@ -233,6 +233,27 @@ class TestBesselTableCommand:
         first = rows[0]
         assert float(first["bessel_i"]) == 1.0
 
+    def test_last_node_is_a_max(self, tmp_path):
+        # 3 * 0.1 rounds to 0.30000000000000004
+        out = tmp_path / "table.csv"
+        assert main(["bessel-table", "--n-max", "0", "--a-max", "0.3", "--step", "0.1",
+                     "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert [row["a"] for row in csv.DictReader(fh)][-1] == "0.3"
+
+    # at a step of a_max / 11 the grid's last node rounds past a_max
+    @pytest.mark.parametrize("step", ["100", repr(math.log(sys.float_info.max) / 11)])
+    def test_largest_a_max_is_finite(self, tmp_path, step):
+        out = tmp_path / "table.csv"
+        a_max = repr(math.log(sys.float_info.max))
+        assert a_max == "709.782712893384"
+        assert main(["bessel-table", "--n-max", "2", "--a-max", a_max, "--step", step,
+                     "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert max(float(row["a"]) for row in rows) <= float(a_max)
+        assert all(math.isfinite(float(row[k])) for row in rows for k in ("bessel_i", "a_n"))
+
 
 class TestFanoNetCommand:
     @pytest.mark.parametrize("beta", ["1.0", "0.8"])
@@ -404,6 +425,16 @@ class TestContractionCommand:
         out = tmp_path / "table.csv"
         code = main(["contraction", "--truth", str(tmp_path), "--ns", ",", *control,
                      "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --ns ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ns", ["0", "1", "-5", "12,12", "25,12"])
+    def test_bad_ns_refused(self, tmp_path, capsys, ns):
+        # sizes below 2 or out of order are refused before the truth is read
+        out = tmp_path / "table.csv"
+        code = main(["contraction", "--truth", str(tmp_path), "--ns", ns, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: --ns ") and err.count("\n") == 1
@@ -588,6 +619,7 @@ class TestFlagBounds:
             # e^1000 overflows a double
             (["bessel-table", "--n-max", "2", "--a-max", "1000", "--step", "500"],
              "--a-max"),
+            (["bessel-table", "--a-max", "709.79"], "--a-max"),
         ],
     )
     def test_bad_flag_named(self, tmp_path, capsys, argv, flag):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from simlab import shifts
 from simlab.distances import mc_distance
-from simlab.fourier import FourierSeries, h1_norm, is_phase_normalized, rotate
+from simlab.fourier import FourierSeries, evaluate, h1_norm, is_phase_normalized, rotate
 from simlab.mixture import MixtureLaw, gaussian_density
 from simlab.nets import (
     MomentMatchError,
@@ -128,14 +129,19 @@ class TestFanoCertificate:
         assert len(certs[0].matched) == len(certs[0].mismatched) == 4
         assert certs[1] == certs[0] and certs[2] == certs[0]
 
-    def test_grids_are_tabulated_once_per_net(self, monkeypatch):
+    def test_densities_are_synthesized_once(self, monkeypatch):
+        # each member is tabulated when it is built, never by the certificate
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(shifts, "evaluate", counted)
         net = make_fano_net(4, 1.0, 2.5, 1.5, 2.0)
-        grids = net.grids
-        assert net.grids is grids
-        for g, grid in zip(net.gs, grids):
-            assert np.array_equal(grid.values, g.to_grid().values)
-        monkeypatch.setattr(FourierDensity, "to_grid", lambda *a: pytest.fail("tabulated"))
+        assert len(calls) == 4
         fano_tv_certificate(net, 200, np.random.default_rng(3))
+        assert len(calls) == 4
 
     def test_ordering_property(self):
         # phase compensation makes matched pairs strictly harder to

@@ -66,7 +66,7 @@ def bulk_thresholds(absb: np.ndarray) -> np.ndarray:
 def certificate_laws():
     net = make_fano_net(8, 1.0, 2.5, 1.5, 2.0)
     for j in range(8):
-        for g in (net.grids[j], net.grids[0]):
+        for g in (net.gs[j], net.gs[0]):
             yield MixtureLaw(net.fs[j], g, quadrature_points=256, freqs=(1, 8))
 
 

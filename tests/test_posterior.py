@@ -32,7 +32,6 @@ from simlab.posterior import (
     contraction_experiment,
     gibbs_posterior,
     importance_posterior,
-    shift_measure,
     _cluster_sums,
     _exact_draw,
     _inverse_cdf,
@@ -115,9 +114,9 @@ class TestAlignment:
             after = log_mixture_density(MixtureLaw(a_theta, a_g), z)
             assert np.allclose(before, after, atol=2e-3)
 
-    def test_shift_measure_density(self):
+    def test_translate_density(self):
         g = raised_cosine_density(512)
-        moved = shift_measure(g, 0.25)
+        moved = g.translate(0.25)
         t = np.linspace(0, 1, 513)
         expected = 1.0 + np.cos(2 * np.pi * (t - 0.25))
         assert np.allclose(moved.values, expected, atol=1e-3)

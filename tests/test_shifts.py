@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simlab.shifts import (
+    DEFAULT_GRID,
     Discrete,
     FourierDensity,
     GridDensity,
@@ -86,6 +87,22 @@ class TestInvariants:
         ks = np.arange(1, 3)
         want = g.fourier(ks) * np.exp(-2j * np.pi * ks * 0.25)
         assert np.allclose(moved.fourier(ks), want, atol=1e-12)
+
+    def test_fourier_density_is_its_default_grid_law(self):
+        # one tabulation: every grid operation reads the same values as the
+        # grid law built from the 1,024-point synthesis
+        g = FourierDensity(np.array([0.1 - 0.05j, 0.2j, 1.0, -0.2j, 0.1 + 0.05j]))
+        grid = GridDensity(g.on_grid(DEFAULT_GRID))
+        assert isinstance(g, GridDensity) and g.m == DEFAULT_GRID
+        u = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(g.quantile(u), grid.quantile(u))
+        for k in (7, 256, DEFAULT_GRID):
+            for a, b in zip(g.nodes(k), grid.nodes(k)):
+                assert np.array_equal(a, b)
+        assert np.array_equal(g.translate(0.3).values, grid.translate(0.3).values)
+        draws = [x.sample(50, np.random.default_rng(5)) for x in (g, grid)]
+        assert np.array_equal(*draws)
+        assert np.array_equal(g.on_grid(DEFAULT_GRID), grid.on_grid(DEFAULT_GRID))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.filterwarnings("error")
@@ -237,10 +254,17 @@ class TestWasserstein:
             assert wasserstein1(g, h) <= 1.0
 
     def test_rejects_invalid_fourier_density(self):
-        # 1 + 1.2 cos(2 pi 1024 x) is 2.2 on the default 1,024-grid, where
-        # construction checks it, and -0.2 halfway between its points
+        # 1 + 1.2 cos(2 pi 1024 x) aliases to 2.2 on the default 1,024-grid,
+        # which construction tabulates: it integrates to 2.2 there
         coeffs = np.zeros(2049, dtype=complex)
         coeffs[[0, 1024, 2048]] = 0.6, 1.0, 0.6
+        with pytest.raises(ValueError, match="integrate to 1"):
+            FourierDensity(coeffs)
+        # 1 + 1.2 sin(2 pi 512 x) is 1 at every point of that grid, so it is
+        # built, and -0.2 halfway between them, where tv_density's finer
+        # 2,048-grid synthesis refuses it
+        coeffs = np.zeros(1025, dtype=complex)
+        coeffs[[0, 512, 1024]] = 0.6j, 1.0, -0.6j
         bad = FourierDensity(coeffs)
         with pytest.raises(ValueError, match="negative"):
             tv_density(bad, uniform_density(2048))

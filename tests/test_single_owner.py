@@ -8,7 +8,9 @@ sampler's exact draw.  The shift integral's row layout, its factor and its
 basis live in ``mixture``, and the rows have three builders: the log
 density, the exact draw and the smooth prior's block-envelope draw.
 Threads and stream splits have one owner, ``model.task_map``, whose per-task
-children keep an output independent of the worker count.  Every export
+children keep an output independent of the worker count.  Only two functions
+branch on a shift law's representation, and only ``shifts`` tabulates a
+Fourier density.  Every export
 resolves, so a deletion leaves no stale name behind.
 """
 
@@ -19,9 +21,9 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "simlab"
 
 
-def _calls(attr: str) -> list[tuple[str, str | None, int]]:
+def _calls(attr: str, keep=lambda call: True) -> list[tuple[str, str | None, int]]:
     """(file, enclosing function, line) of every ``<expr>.attr(...)`` or
-    ``attr(...)`` call; a method is named ``Class.method``."""
+    ``attr(...)`` call that ``keep`` accepts; a method is named ``Class.method``."""
     found = []
 
     def visit(node, owner, name, cls=None):
@@ -35,7 +37,7 @@ def _calls(attr: str) -> list[tuple[str, str | None, int]]:
             func = getattr(child, "func", None)
             if isinstance(child, ast.Call) and attr in (
                 getattr(func, "attr", None), getattr(func, "id", None)
-            ):
+            ) and keep(child):
                 found.append((name, owner, child.lineno))
             visit(child, owner, name)
 
@@ -100,6 +102,24 @@ def test_task_map_callers():
         ("cli.py", "distance_verification_rows"),
         ("nets.py", "fano_tv_certificate"),
     ]
+
+
+def test_representation_branches_only_in_tv_density_and_budget_nodes():
+    # every other caller goes through the ShiftDistribution methods, and
+    # only shifts knows how a Fourier density is tabulated
+    kinds = {"Discrete", "GridDensity", "FourierDensity"}
+
+    def on_kind(call):
+        return any(getattr(n, "id", getattr(n, "attr", None)) in kinds
+                   for arg in call.args[1:] for n in ast.walk(arg))
+
+    calls = _calls("isinstance", on_kind)
+    assert sorted({(f, owner) for f, owner, _ in calls}) == [
+        ("mixture.py", "_budget_nodes"),
+        ("shifts.py", "tv_density"),
+    ]
+    named = [p.name for p in sorted(SRC.glob("*.py")) if "to_grid" in p.read_text()]
+    assert named == ["shifts.py"]
 
 
 def test_exports_resolve():
