@@ -43,14 +43,19 @@ from simlab.priors import (
     SievePriorConfig,
     SmoothPriorConfig,
     gp_draw,
+    lambda_pmf,
+    sample_dp,
+    sample_smooth_with_process,
     stick_weights,
 )
 from simlab.shifts import (
     Discrete,
     GridDensity,
+    categorical,
     raised_cosine_density,
     uniform_density,
 )
+from simlab.special import complex_gaussian_array
 
 TRUTH = FourierSeries.from_dict({1: 1.0 + 0j, 2: 0.5 + 0j}, cutoff=2)
 
@@ -976,6 +981,93 @@ class TestLevelMove:
         for _ in range(60):
             sampler.sweep()
             assert 1 <= sampler.level <= sampler.l_max
+
+
+# lambda = (2/3, 1/3) on levels 1 and 2, and xi^2 = 1
+GEWEKE_SIEVE = SievePriorConfig(
+    n=8, mu=0.0, zeta=0.0, c=0.25 / math.sqrt(math.log(2.0)), l_max=2
+)
+
+
+def _ess(x):
+    """Effective sample size of a chain by Geyer's initial monotone sequence
+    (Statist. Sci. 1992): autocorrelations summed in adjacent pairs up to the
+    first nonpositive pair, the pair sums made nonincreasing."""
+    x = np.asarray(x, dtype=float) - np.mean(x)
+    n = x.size
+    acf = np.fft.irfft(np.abs(np.fft.rfft(x, 2 * n)) ** 2, 2 * n)[:n]
+    pairs = (acf[: n - 1 : 2] + acf[1:n:2]) / acf[0]
+    stop = np.flatnonzero(pairs <= 0.0)
+    pairs = np.minimum.accumulate(pairs[: stop[0] if stop.size else pairs.size])
+    return n / (2.0 * pairs.sum() - 1.0)
+
+
+def _z(chain, mean, var_of_mean=0.0):
+    """The chain mean's distance from ``mean`` in standard errors, the chain's
+    from its ESS plus ``var_of_mean`` for a target that is itself estimated."""
+    se2 = np.var(chain) / _ess(chain) + var_of_mean
+    return (np.mean(chain) - mean) / math.sqrt(se2)
+
+
+def _geweke_chain(shift_prior, seed, burn_in, sweeps):
+    """Successive-conditional simulator (Geweke, JASA 2004): each step redraws
+    the 8 curves from the current shape and shifts with unit noise, then runs
+    one sweep, so the chain's stationary law is the joint prior.  Returns the
+    recorded statistics by row: 1{level = 1}, Re, Im and |.|^2 of theta_0 and
+    theta_1, |g_1|, and the number of occupied candidates."""
+    rng = np.random.default_rng(seed)
+    obs = ObservationSet(2, 1.0, np.zeros((8, 5), dtype=complex))
+    sampler = GibbsSampler(obs, PriorConfig(GEWEKE_SIEVE, shift_prior), rng)
+    rows = []
+    for step in range(burn_in + sweeps):
+        tau = sampler.shift_candidates()[sampler.assignments]
+        mean = sampler.theta * np.exp(-2j * np.pi * np.outer(tau, sampler.ks))
+        sampler.Y = mean + complex_gaussian_array(rng, mean.shape)
+        sampler.sweep()
+        if step >= burn_in:
+            t0, t1 = sampler.theta[sampler.l_max : sampler.l_max + 2]
+            g1 = sampler.current_g().fourier(np.array([1]))[0]
+            occupied = np.unique(sampler.assignments).size
+            rows.append((sampler.level == 1, t0.real, t0.imag, abs(t0) ** 2,
+                         t1.real, t1.imag, abs(t1) ** 2, abs(g1), occupied))
+    return np.array(rows, dtype=float).T
+
+
+def _direct_dp(cfg, rng):
+    g = sample_dp(cfg, rng)
+    return g, g.weights
+
+
+def _direct_smooth(cfg, rng):
+    g, w = sample_smooth_with_process(cfg, rng)
+    return g, np.exp(w[:-1] - w.max())
+
+
+class TestGeweke:
+    @pytest.mark.parametrize(
+        "shift_prior, direct, seeds, sweeps",
+        [
+            (DirichletPriorConfig(uniform_density(256), 1.0, 50), _direct_dp,
+             (2611, 2613), 30_000),
+            (SmoothPriorConfig(nu=1.5, radius=2.0, grid=256), _direct_smooth,
+             (2612, 2614), 20_000),
+        ],
+        ids=["dp", "smooth"],
+    )
+    def test_sweep_keeps_the_joint_prior(self, shift_prior, direct, seeds, sweeps):
+        # the level pmf and theta_0, theta_1 ~ CN(0, 1) are exact targets;
+        # |g_1| and the occupied count of 8 shifts come from direct prior draws
+        stats = _geweke_chain(shift_prior, seeds[0], 1000, sweeps)
+        rng = np.random.default_rng(seeds[1])
+        draws = np.empty((2, 10_000))
+        for i in range(draws.shape[1]):
+            g, weights = direct(shift_prior, rng)
+            idx = categorical(weights, rng.random(8))
+            draws[:, i] = abs(g.fourier(np.array([1]))[0]), np.unique(idx).size
+        exact = [lambda_pmf(GEWEKE_SIEVE)[0], 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+        z = [_z(s, t) for s, t in zip(stats, exact)]
+        z += [_z(s, d.mean(), d.var() / d.size) for s, d in zip(stats[7:], draws)]
+        assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
 
 
 class TestGibbsPosterior:
