@@ -14,7 +14,8 @@ moves are:
   whose slack exceeds ``_SLACK_MAX`` takes the inverse CDF),
 * shape coefficients given shifts (complex-Gaussian conjugate refresh),
 * activation level via a birth/death Metropolis step whose new
-  coefficients are proposed from the prior,
+  coefficients are proposed from the prior and whose ratio reads the
+  sweep's ``S`` (one sum per frequency, set by the shape refresh),
 * the mixing law itself: a blocked stick-breaking refresh for the
   Dirichlet prior, or a preconditioned Crank-Nicolson move on the
   underlying Gaussian process for the smooth prior.
@@ -388,6 +389,7 @@ class GibbsSampler:
         self.shift_move = move(prior.shift_prior, self.ks, rng)
         # each curve's shift is shift_candidates()[assignments]
         self.assignments = rng.integers(0, self.shift_candidates().size, size=self.n)
+        self._suff_stats()  # so that the level move may run first
 
     # the shift move's pCN counters (always 0 with the Dirichlet prior)
     pcn_accepted = property(lambda self: self.shift_move.pcn_accepted)
@@ -407,12 +409,6 @@ class GibbsSampler:
         b = self.Y[:, self.active] * np.conj(self.theta[self.active])
         self.assignments = self.shift_move.draw(b, self.rng)
 
-    @property
-    def phases(self) -> np.ndarray:
-        """``e^{2 pi i k tau_j}`` per curve: the candidate basis's columns."""
-        cols = self.shift_move.basis.T[self.assignments]
-        return cols[:, : self.p] + 1j * cols[:, self.p :]
-
     # -- shape update -------------------------------------------------
 
     @staticmethod
@@ -428,40 +424,34 @@ class GibbsSampler:
         noise = complex_gaussian_array(rng, s_stat.shape)
         return s_stat / prec + noise / math.sqrt(prec)
 
-    def _suff_stats(self) -> np.ndarray:
-        return np.sum(self.Y * self.phases, axis=0)
+    def _suff_stats(self):
+        """The sweep's ``s_stat``: ``S_k = sum_j y_jk e^{2 pi i k tau_j}`` at every
+        frequency, from the candidate basis's columns at the assignments."""
+        cols = self.shift_move.basis.T[self.assignments]
+        self.s_stat = np.sum(self.Y * (cols[:, : self.p] + 1j * cols[:, self.p :]), axis=0)
 
     def update_theta(self):
-        s_stat = self._suff_stats()
-        draws = self.conjugate_refresh(s_stat[self.active], self.n, self.xi2, self.rng)
+        self._suff_stats()  # valid until the mixing-law refresh moves the shifts
+        draws = self.conjugate_refresh(self.s_stat[self.active], self.n, self.xi2, self.rng)
         self.theta = np.zeros(self.p, dtype=complex)
         self.theta[self.active] = draws
 
     # -- activation level ---------------------------------------------
-
-    def _pair_loglik_gain(self, k: int, coeff_pos: complex, coeff_neg: complex):
-        """Log-likelihood change of activating ``(theta_k, theta_{-k})``
-        versus leaving them at zero, holding the shifts fixed."""
-        gain = 0.0
-        for freq, coeff in ((k, coeff_pos), (-k, coeff_neg)):
-            i = freq + self.l_max
-            col = self.Y[:, i]
-            # the curves' phases at freq alone: two rows of the basis
-            cos, sin = self.shift_move.basis[[i, i + self.p]][:, self.assignments]
-            mean = coeff * (cos - 1j * sin)
-            gain += float(np.sum(np.abs(col) ** 2 - np.abs(col - mean) ** 2))
-        return gain
 
     def _level_log_ratio(self, new_level: int, coeff_pos, coeff_neg) -> float:
         """MH log ratio for moving between adjacent levels.
 
         ``new_level = level + 1`` activates the supplied pair (proposed
         from the prior, whose density cancels against the proposal);
-        ``new_level = level - 1`` removes the current boundary pair.
+        ``new_level = level - 1`` removes the current boundary pair.  The pair's
+        log-likelihood gain is ``sum_{f = +-k} 2 Re(conj(c_f) S_f) - n |c_f|^2``.
         """
         lam = self.level_pmf
         prior_term = math.log(lam[new_level - 1]) - math.log(lam[self.level - 1])
-        gain = self._pair_loglik_gain(max(new_level, self.level), coeff_pos, coeff_neg)
+        k = max(new_level, self.level)
+        s_pos, s_neg = self.s_stat[[self.l_max + k, self.l_max - k]].tolist()
+        gain = sum(2.0 * (c.conjugate() * s).real - self.n * abs(c) ** 2
+                   for c, s in ((complex(coeff_pos), s_pos), (complex(coeff_neg), s_neg)))
         return prior_term + gain if new_level > self.level else prior_term - gain
 
     def update_level(self):

@@ -929,27 +929,35 @@ class TestPhases:
 
         def check():
             tau = sampler.shift_candidates()[sampler.assignments]
-            want = np.exp(2j * np.pi * np.outer(tau, sampler.ks))
-            np.testing.assert_allclose(sampler.phases, want, rtol=0.0, atol=1e-15)
-            want_s = np.sum(sampler.Y * want, axis=0)
-            got_s = sampler._suff_stats()
-            np.testing.assert_allclose(got_s, want_s, rtol=0.0, atol=1e-12)
+            want_s = np.sum(sampler.Y * np.exp(2j * np.pi * np.outer(tau, sampler.ks)), axis=0)
+            np.testing.assert_allclose(sampler.s_stat, want_s, rtol=0.0, atol=1e-12)
+            # the gain inside the level ratio is its change from a zero pair:
+            # at every k, a birth from level k - 1 and a death from level k
+            # (level 0 only moves the prior term, which cancels)
+            level = sampler.level
             for k in range(1, sampler.l_max + 1):
                 pair = rng.normal(size=2) + 1j * rng.normal(size=2)
                 want_gain = _exp_gain(sampler, tau, k, *pair)
-                got = sampler._pair_loglik_gain(k, *pair)
-                assert got == pytest.approx(want_gain, rel=0.0, abs=1e-12)
+                sampler.level = k - 1
+                birth = sampler._level_log_ratio(k, *pair) - sampler._level_log_ratio(k, 0, 0)
+                sampler.level = k
+                death = sampler._level_log_ratio(k - 1, 0, 0) - sampler._level_log_ratio(
+                    k - 1, *pair
+                )
+                assert birth == pytest.approx(want_gain, rel=0.0, abs=1e-12)
+                assert death == pytest.approx(want_gain, rel=0.0, abs=1e-12)
+            sampler.level = level
 
+        # S is the sweep's from the shape refresh until the mixing-law
+        # refresh moves the shifts; the sampler sets it up front too
         check()
         for _ in range(3):
-            for move in (
-                sampler.update_shifts,
-                sampler.update_theta,
-                sampler.update_level,
-                sampler.update_shift_distribution,
-            ):
-                move()
-                check()
+            sampler.update_shifts()
+            sampler.update_theta()
+            check()
+            sampler.update_level()
+            check()
+            sampler.update_shift_distribution()
 
 
 class TestLevelMove:
@@ -981,6 +989,27 @@ class TestLevelMove:
         for _ in range(60):
             sampler.sweep()
             assert 1 <= sampler.level <= sampler.l_max
+
+
+class TestCurveCounts:
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("make", [dp_prior, smooth_prior], ids=["dp", "smooth"])
+    def test_no_curve_and_one_curve(self, make, n):
+        # the level ratio's closed form uses the curve count explicitly
+        curves = simulate(TRUTH, raised_cosine_density(), 1, 3, seed=5).curves[:n]
+        obs = ObservationSet(3, 1.0, curves)
+        sampler = GibbsSampler(obs, make(10, l_max=3), np.random.default_rng(30 + n))
+        ratio, ratios = sampler._level_log_ratio, []
+
+        def recording(*args):
+            ratios.append(ratio(*args))
+            return ratios[-1]
+
+        sampler._level_log_ratio = recording
+        for _ in range(10):
+            sampler.sweep()
+            assert 1 <= sampler.level <= sampler.l_max
+        assert ratios and np.all(np.isfinite(ratios))
 
 
 # lambda = (2/3, 1/3) on levels 1 and 2, and xi^2 = 1

@@ -10,8 +10,9 @@ density, the exact draw and the smooth prior's block-envelope draw.
 Threads and stream splits have one owner, ``model.task_map``, whose per-task
 children keep an output independent of the worker count.  Only two functions
 branch on a shift law's representation, and only ``shifts`` tabulates a
-Fourier density.  Every export
-resolves, so a deletion leaves no stale name behind.
+Fourier density.  The Gibbs level move reads the sweep's sufficient
+statistic, not the curves.  Every export resolves, so a deletion leaves no
+stale name behind.
 """
 
 import ast
@@ -120,6 +121,19 @@ def test_representation_branches_only_in_tv_density_and_budget_nodes():
     ]
     named = [p.name for p in sorted(SRC.glob("*.py")) if "to_grid" in p.read_text()]
     assert named == ["shifts.py"]
+
+
+def test_level_move_reads_neither_curves_nor_assignments():
+    # its ratio is closed-form in the sweep's S = sum_j y_j e^{2 pi i k tau_j}
+    tree = ast.parse((SRC / "posterior.py").read_text())
+    sampler = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "GibbsSampler")
+    methods = {node.name: node for node in sampler.body if isinstance(node, ast.FunctionDef)}
+    for name in ("update_level", "_level_log_ratio"):
+        read = {node.attr for node in ast.walk(methods[name]) if isinstance(node, ast.Attribute)}
+        assert read & {"Y", "assignments"} == set(), name
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert defined & {"_pair_loglik_gain", "phases"} == set()
 
 
 def test_exports_resolve():
