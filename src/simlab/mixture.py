@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSeries, h1_norm, project
+from .fourier import FourierSeries, project
 from .model import ObservationSet
 from .shifts import GridDensity, ShiftDistribution
 from .shifts import sample as sample_shift
@@ -31,7 +31,6 @@ __all__ = [
     "sample_law",
 ]
 
-_MIN_QUAD = 64
 # Largest relative change of a row's shift sum that dropping nodes may cause.
 _NODE_TOL = 1e-13
 # Exponents per block of the shift sums: 512 KB, so a block stays in L2.
@@ -46,15 +45,6 @@ _SPLIT_MIN = 500_000
 _SUM_FLOOR = math.exp(-600.0)
 
 
-def default_quadrature_points(theta: FourierSeries) -> int:
-    """Node budget of the shift integral: ``max(512, 64 ceil(||theta||_H1))``.
-
-    The integrand sharpens as the shape's first-order norm grows, so the
-    budget scales with it; grid laws may use fewer nodes (``_shift_nodes``).
-    """
-    return max(512, _MIN_QUAD * math.ceil(h1_norm(theta)))
-
-
 @dataclass(frozen=True)
 class MixtureLaw:
     """Law of the observed coefficient vector for one curve.
@@ -64,27 +54,30 @@ class MixtureLaw:
     theta : FourierSeries
         Shape coefficients (cutoff ``l``).
     g : ShiftDistribution
-        Mixing distribution of the random shift.
-    quadrature_points : int, optional
-        Node budget of the shift quadrature for continuous ``g``; defaults
-        to the norm-scaled rule.  Grid laws may use a divisor of it.
+        Mixing distribution of the random shift.  The shift integral runs
+        over its own nodes (``g.nodes()``): the atoms of a ``Discrete`` law,
+        the trapezoid atoms of a grid law, which the node rule may thin.
     freqs : tuple of int, optional
         Active frequency subset; ``None`` means all of ``-l .. l``.
     """
 
     theta: FourierSeries
     g: ShiftDistribution
-    quadrature_points: int | None = None
     freqs: tuple | None = None
 
     def __post_init__(self):
-        if self.quadrature_points is not None and self.quadrature_points < _MIN_QUAD:
-            raise ValueError(f"quadrature_points must be >= {_MIN_QUAD}")
         if self.freqs is not None:
             freqs = tuple(int(k) for k in self.freqs)
             if any(abs(k) > self.theta.cutoff for k in freqs):
                 raise ValueError("active frequency beyond the shape cutoff")
             object.__setattr__(self, "freqs", freqs)
+
+    @property
+    def quadrature_points(self) -> int:
+        """Nodes the shift integral starts from, before the node rule thins them.
+        Only ``perfbench/spans.py::_shift_nodes`` reads it; it goes when that
+        counter is fixed (ROADMAP item 1)."""
+        return self.g.nodes()[0].size
 
     @property
     def active_freqs(self) -> np.ndarray:
@@ -120,7 +113,7 @@ def gaussian_density(z, mu) -> float | np.ndarray:
 
 
 def _node_stride(law: MixtureLaw, absb: np.ndarray, w: np.ndarray) -> int:
-    """Largest ``s`` dividing the budget ``K0 = w.size`` such that keeping every
+    """Largest ``s`` dividing the node count ``K0 = w.size`` such that keeping every
     ``s``-th node moves no row's shift sum by over ``_NODE_TOL`` (relative).
 
     With ``K = K0 / s`` the sums differ by the K0-point DFT coefficients of
@@ -157,8 +150,12 @@ def _node_stride(law: MixtureLaw, absb: np.ndarray, w: np.ndarray) -> int:
             factor = np.zeros(2 * n * f + 1)
             factor[::f] = np.concatenate([row[n:0:-1], row[: n + 1]])
             b = np.convolve(b, factor)
-        b = np.bincount((np.arange(b.size) - b.size // 2) % k0, b, k0)
-        c = np.bincount(np.arange(2 * k0 - 1) % k0, np.convolve(spec, b), k0)
+        # convolve, then wrap onto the K0 bins: linear in K0 while B is short
+        centre = b.size // 2
+        if b.size > k0:
+            b, centre = np.bincount((np.arange(b.size) - centre) % k0, b, k0), 0
+        c = np.convolve(spec, b)
+        c = np.bincount((np.arange(c.size) - centre) % k0, c, k0)
         return math.exp(log_gain) * c + spec + 4e-3 * _NODE_TOL / k0 * a.size * spec.sum()
 
     # Each candidate K divides a maximal divisor D = K0 / prime, so its sum
@@ -178,16 +175,16 @@ def _node_stride(law: MixtureLaw, absb: np.ndarray, w: np.ndarray) -> int:
     return 1
 
 
-def _budget_nodes(law: MixtureLaw):
-    """Budget nodes and weights, and whether the law's grid lets the rule thin them."""
-    k0 = law.quadrature_points or default_quadrature_points(law.theta)
-    return *law.g.nodes(k0), isinstance(law.g, GridDensity) and law.g.m % k0 == 0
+def _law_nodes(law: MixtureLaw):
+    """The shift law's own nodes and weights, and whether the rule may thin them:
+    a grid law's, not a ``Discrete`` law's atoms."""
+    return *law.g.nodes(), isinstance(law.g, GridDensity)
 
 
-def _shift_nodes(law: MixtureLaw, absb: np.ndarray, budget=None):
-    """Shift nodes and weights for rows ``b`` of moduli ``absb``: the ``budget``'s,
-    or every ``s``-th of them (:func:`_node_stride`), still on grid points."""
-    phi, w, on_grid = budget or _budget_nodes(law)
+def _shift_nodes(law: MixtureLaw, absb: np.ndarray, nodes=None):
+    """Shift nodes and weights for rows ``b`` of moduli ``absb``: the law's own
+    ``nodes``, or every ``s``-th of them (:func:`_node_stride`), still on grid points."""
+    phi, w, on_grid = nodes or _law_nodes(law)
     step = _node_stride(law, absb, w) if on_grid else 1
     if step > 1:
         phi, w = phi[::step], w[::step] / w[::step].sum()
@@ -281,7 +278,8 @@ def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     shifted by the bound ``s = 2 sum_k |b_k| + max log w`` of its exponents
     (a log-sum-exp needs no more; Blanchard, Higham & Higham, IMA J. Numer.
     Anal. 2021), so a block of rows is one product of :func:`_shifted_rows`
-    with :func:`_draw_factor` at the nodes, one ``exp`` and one row sum; a row
+    with :func:`_draw_factor` at the law's own nodes (``g.nodes()``, which
+    the node rule may thin), one ``exp`` and one row sum; a row
     whose shifted sum is below ``e^-600`` is redone with its exact maximum.
     ``|b|`` gives the node rule its amplitudes ``2 max_j |b_jk|``.  A large
     call on a law the rule may thin takes every row on the nodes certified for
@@ -291,12 +289,12 @@ def log_mixture_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     if z.shape[1] != law.dim:
         raise ValueError(f"points must have dimension {law.dim}, got {z.shape[1]}")
     b = z * np.conj(law.active_coeffs)
-    absb, budget, n = np.abs(b), _budget_nodes(law), z.shape[0]
-    phi, w = _shift_nodes(law, absb, budget)
-    if budget[2] and n * phi.size >= _SPLIT_MIN:
+    absb, nodes, n = np.abs(b), _law_nodes(law), z.shape[0]
+    phi, w = _shift_nodes(law, absb, nodes)
+    if nodes[2] and n * phi.size >= _SPLIT_MIN:
         kth = int(_BULK_QUANTILE * (n - 1))
         thr = np.partition(absb, kth, axis=0)[kth]
-        bulk = _shift_nodes(law, thr[None, :], budget)
+        bulk = _shift_nodes(law, thr[None, :], nodes)
         if bulk[0].size < phi.size:
             out = _log_density(law, z, b, absb, *bulk)
             tail = np.flatnonzero((absb > thr).any(axis=1))
@@ -332,7 +330,7 @@ def log_likelihood(law: MixtureLaw, obs: ObservationSet) -> float:
     if obs.n == 0:
         return 0.0
     m = min(law.theta.cutoff, obs.cutoff)
-    sub = MixtureLaw(project(law.theta, m), law.g, law.quadrature_points)
+    sub = MixtureLaw(project(law.theta, m), law.g)
     z = obs.curves[:, obs.cutoff - m : obs.cutoff + m + 1]
     return float(np.sum(log_mixture_density(sub, z)))
 
@@ -351,8 +349,8 @@ def girsanov_log_ratio(f: MixtureLaw, f0: MixtureLaw, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=complex)
     if y.shape != (2 * cut + 1,):
         raise ValueError(f"observation must have dimension {2 * cut + 1}")
-    num = MixtureLaw(project(f.theta, cut), f.g, f.quadrature_points)
-    den = MixtureLaw(project(f0.theta, cut), f0.g, f0.quadrature_points)
+    num = MixtureLaw(project(f.theta, cut), f.g)
+    den = MixtureLaw(project(f0.theta, cut), f0.g)
     return float(log_mixture_density(num, y)[0] - log_mixture_density(den, y)[0])
 
 

@@ -145,16 +145,16 @@ def fano_tv_certificate(
 
     The remaining coefficients of every net shape vanish, so they
     contribute identical Gaussian factors to every law and drop out of
-    the total variation.  The net densities are band-limited, so a
-    moderate shift quadrature (a budget of 256 nodes, densities tabulated
-    on the 1,024-point default grid, fewer nodes where the aliasing bound
-    allows) is already exact to well below the certificate gaps.  The ``2 p``
-    estimates run on ``workers`` threads, each on its own stream (``task_map``).
+    the total variation.  The net densities are band-limited and tabulated
+    on the 1,024-point default grid, whose trapezoid atoms the aliasing
+    bound thins to 256 nodes or fewer, already exact to well below the
+    certificate gaps.  The ``2 p`` estimates run on ``workers`` threads,
+    each on its own stream (``task_map``).
     """
     gs, freqs = net.gs, (1, net.p)
-    ref = MixtureLaw(net.fs[0], gs[0], 256, freqs)
+    ref = MixtureLaw(net.fs[0], gs[0], freqs=freqs)
     laws = [  # member j's matched law, then its mismatched one; member 1 is ref
-        MixtureLaw(f, g, 256, freqs) if j else ref
+        MixtureLaw(f, g, freqs=freqs) if j else ref
         for j, f in enumerate(net.fs) for g in (gs[j], gs[0])
     ]
     tv = task_map(lambda law, child: mc_distance(law, ref, "TV", samples, child),

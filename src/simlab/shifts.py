@@ -42,7 +42,8 @@ class ShiftDistribution:
     """Common base for the three shift-distribution representations.
 
     Each one implements the single-law operations as methods: ``fourier``,
-    ``quantile``, ``sample``, ``nodes`` (shift quadrature), ``on_grid``,
+    ``quantile``, ``sample``, ``nodes`` (the atoms and weights that the shift
+    integral of a mixture law sums over: the law's own measure), ``on_grid``,
     ``translate``, ``radius_cutoff`` (for the smoothness radius) and
     ``to_json``.  A new representation is one class plus its ``kind`` entry
     in ``_FROM_JSON``.
@@ -87,7 +88,7 @@ class Discrete(ShiftDistribution):
         idx = categorical(self.weights / self.weights.sum(), np.asarray(u))
         return self.positions[np.minimum(idx, self.positions.size - 1)]
 
-    def nodes(self, k: int):
+    def nodes(self):
         return self.positions, self.weights
 
     def on_grid(self, m: int) -> np.ndarray:
@@ -159,14 +160,14 @@ class GridDensity(ShiftDistribution):
         # generalized inverse up to grid resolution.
         return np.interp(np.asarray(u), self.cdf_values(), self.grid)
 
-    def nodes(self, k: int):
-        """Circle grid of ``k`` points, weights ``g(phi_i) / k`` renormalized."""
-        phi = np.arange(k) / k
-        w = np.interp(phi, self.grid, self.values) / k
-        s = w.sum()
-        if s <= 0:
-            raise ValueError("degenerate shift density")
-        return phi, w / s
+    def nodes(self):
+        """The open grid ``i/m`` with trapezoid weights, renormalized:
+        ``(v_0 + v_m) / 2m`` at 0 and ``v_i / m`` elsewhere, the measure
+        whose coefficients :meth:`fourier` returns."""
+        v, m = self.values, self.m
+        w = v[:-1] / m
+        w[0] = (v[0] + v[m]) / (2 * m)
+        return np.arange(m) / m, w / w.sum()
 
     def on_grid(self, m: int) -> np.ndarray:
         return np.interp(np.linspace(0.0, 1.0, m + 1), self.grid, self.values)
@@ -222,9 +223,6 @@ class FourierDensity(GridDensity):
         """Density values on the closed m-grid via Fourier synthesis."""
         t = np.linspace(0.0, 1.0, m + 1)
         return evaluate(FourierSeries(self.k_max, self.coeffs), t).real
-
-    def to_grid(self, m: int = DEFAULT_GRID) -> GridDensity:
-        return GridDensity(self.on_grid(m))
 
     def on_grid(self, m: int) -> np.ndarray:
         """The synthesis on the closed m-grid, clipped at 0."""

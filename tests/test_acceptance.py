@@ -59,6 +59,7 @@ from simlab.priors import (
 from simlab.shifts import (
     Discrete,
     FourierDensity,
+    GridDensity,
     raised_cosine_density,
     sobolev_radius,
     uniform_density,
@@ -429,8 +430,8 @@ def test_criterion_10_identifiability():
         if functional < 0.0:
             zero_ok = False
         est = mc_distance(
-            MixtureLaw(th, g1.to_grid(512), freqs=(1,)),
-            MixtureLaw(th, g2.to_grid(512), freqs=(1,)),
+            MixtureLaw(th, GridDensity(g1.on_grid(512)), freqs=(1,)),
+            MixtureLaw(th, GridDensity(g2.on_grid(512)), freqs=(1,)),
             "TV",
             60_000,
             rng,

@@ -144,8 +144,8 @@ class TestMcDistance:
     def test_quadrature_stability(self):
         rng = np.random.default_rng(9)
         th = random_series(rng, 1)
-        a = MixtureLaw(th, raised_cosine_density(), quadrature_points=512)
-        b = MixtureLaw(th, raised_cosine_density(), quadrature_points=2048)
+        a = MixtureLaw(th, raised_cosine_density(512))
+        b = MixtureLaw(th, raised_cosine_density(2048))
         est = mc_distance(a, b, "TV", 50_000, rng)
         assert est.value < 1e-3
 
@@ -158,7 +158,7 @@ class TestMcDistance:
     @pytest.mark.parametrize("metric", ["TV", "H2", "KL", "V"])
     def test_law_against_itself_is_one_evaluation(self, monkeypatch, metric):
         law = MixtureLaw(random_series(np.random.default_rng(11), 2), raised_cosine_density())
-        copy = MixtureLaw(law.theta, law.g, law.quadrature_points, law.freqs)
+        copy = MixtureLaw(law.theta, law.g, law.freqs)
         kernel, calls = distances.log_mixture_density, []
         monkeypatch.setattr(
             distances, "log_mixture_density", lambda p, z: calls.append(p) or kernel(p, z)

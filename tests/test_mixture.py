@@ -9,7 +9,6 @@ from scipy.special import logsumexp
 from simlab.fourier import FourierSeries, project, rotate
 from simlab.mixture import (
     MixtureLaw,
-    default_quadrature_points,
     gaussian_density,
     girsanov_log_ratio,
     log_gaussian_density,
@@ -18,7 +17,7 @@ from simlab.mixture import (
     sample_law,
 )
 from simlab.model import ObservationSet, simulate
-from simlab.shifts import Discrete, raised_cosine_density, uniform_density
+from simlab.shifts import Discrete, GridDensity, raised_cosine_density, uniform_density
 
 THETA = FourierSeries.from_dict({1: 0.9 + 0j, 2: 0.4j}, cutoff=2)
 
@@ -106,10 +105,6 @@ class TestMixtureDensity:
                 base, rel=1e-9
             )
 
-    def test_quadrature_floor_enforced(self):
-        with pytest.raises(ValueError):
-            MixtureLaw(THETA, uniform_density(), quadrature_points=32)
-
 
 ONE_FREQ = MixtureLaw(THETA, uniform_density(), freqs=(1,))
 FULL = MixtureLaw(THETA, uniform_density())
@@ -137,7 +132,7 @@ def test_refusals(call, named):
 def oracle_log_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     """Per-node reference: one Gaussian log density per shift node, combined
     with the log weights by ``scipy.special.logsumexp``."""
-    phi, w = law.g.nodes(law.quadrature_points or default_quadrature_points(law.theta))
+    phi, w = law.g.nodes()
     ks = law.active_freqs
     coeffs = law.theta.coeffs[ks + law.theta.cutoff]
     mu = coeffs[None, :] * np.exp(-2j * np.pi * np.outer(phi, ks))
@@ -176,7 +171,7 @@ def misaligned_rows(rng, n, norm):
 def bound_gap(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     """Distance from each row's largest node exponent up to the kernel's
     bound shift ``sum_k |z_k| 2 |theta_k| + max_i (log w_i - ||mu_i||^2)``."""
-    phi, w = law.g.nodes(law.quadrature_points or default_quadrature_points(law.theta))
+    phi, w = law.g.nodes()
     coeffs = law.theta.coeffs[law.active_freqs + law.theta.cutoff]
     mu = coeffs[None, :] * np.exp(-2j * np.pi * np.outer(phi, law.active_freqs))
     const = np.log(w) - np.sum(np.abs(mu) ** 2, axis=1)
@@ -188,8 +183,24 @@ class TestKernelOracle:
     """The fused kernel against a node-by-node log-sum-exp."""
 
     def test_grid_law(self):
-        law = MixtureLaw(THETA, raised_cosine_density(256, 0.7), quadrature_points=128)
+        law = MixtureLaw(THETA, raised_cosine_density(128, 0.7))
         assert_matches_oracle(law, random_rows(np.random.default_rng(20), 200, 5))
+
+    def test_spiky_grid_law_is_its_trapezoid_atoms(self):
+        # half the mass on one odd point of a 4,096-point grid: a density
+        # interpolated at coarser nodes misses it; brute force over the atoms
+        m = 4096
+        v = np.full(m + 1, 0.5)
+        v[1001] += 0.5 * m
+        theta = FourierSeries.from_dict({1: 1.0 + 0j, 2: 0.5 + 0j}, cutoff=2)
+        law = MixtureLaw(theta, GridDensity(v))
+        z = sample_law(law, 300, np.random.default_rng(29))
+        w = v[:-1] / m
+        w[0] = (v[0] + v[m]) / (2 * m)
+        mu = theta.coeffs * np.exp(-2j * np.pi * np.outer(np.arange(m) / m, theta.ks))
+        want = [logsumexp(log_gaussian_density(row, mu) + np.log(w)) for row in z]
+        got = log_mixture_density(law, z)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_zero_weight_atom(self):
         g = Discrete(np.array([0.1, 0.4, 0.8]), np.array([0.5, 0.0, 0.5]))
@@ -197,32 +208,31 @@ class TestKernelOracle:
         assert_matches_oracle(law, random_rows(np.random.default_rng(21), 200, 5))
 
     def test_single_row(self):
-        law = MixtureLaw(THETA, raised_cosine_density(), quadrature_points=64)
+        law = MixtureLaw(THETA, raised_cosine_density(64))
         z = random_rows(np.random.default_rng(22), 1, 5)[0]
         assert_matches_oracle(law, z)
 
     def test_more_rows_than_one_chunk(self):
-        # 65,536 exponents / 20000 nodes = 3 rows a block: 150 blocks
-        law = MixtureLaw(THETA, raised_cosine_density(), quadrature_points=20000)
+        # 65,536 exponents / 20000 nodes = 3 rows a block: 150 blocks (as
+        # atoms, which the node rule leaves whole)
+        law = MixtureLaw(THETA, Discrete(*raised_cosine_density(20000).nodes()))
         assert_matches_oracle(law, random_rows(np.random.default_rng(23), 450, 5))
 
     def test_frequency_subset(self):
-        law = MixtureLaw(
-            THETA, raised_cosine_density(256, 0.5), quadrature_points=256, freqs=(1, -2)
-        )
+        law = MixtureLaw(THETA, raised_cosine_density(256, 0.5), freqs=(1, -2))
         assert_matches_oracle(law, random_rows(np.random.default_rng(24), 200, 2))
 
     def test_rows_far_from_every_mean(self):
         rng = np.random.default_rng(25)
         z = random_rows(rng, 100, 5)
         z *= 30.0 / np.linalg.norm(z, axis=1)[:, None]
-        law = MixtureLaw(THETA, raised_cosine_density(256, 0.5), quadrature_points=256)
+        law = MixtureLaw(THETA, raised_cosine_density(256, 0.5))
         assert np.all(np.isfinite(log_mixture_density(law, z)))
         assert_matches_oracle(law, z)
 
     @pytest.mark.parametrize("norm", [200.0, 1000.0])
     def test_misaligned_far_rows_take_the_exact_maximum(self, norm):
-        law = MixtureLaw(BIG, raised_cosine_density(256, 0.5), quadrature_points=256)
+        law = MixtureLaw(BIG, raised_cosine_density(256, 0.5))
         z = misaligned_rows(np.random.default_rng(26), 20, norm)
         # the bound shift sits over 600 above every node exponent, so each
         # row's bound-shifted sum underflows past e^-600 and is redone
@@ -233,7 +243,7 @@ class TestKernelOracle:
     def test_rows_do_not_depend_on_their_neighbours(self):
         # 30,000 rows x 256 nodes against its two halves: blocks start at other
         # rows, and both halves hold rows that go through the exact maximum
-        phi, w = raised_cosine_density(1024, 0.3).nodes(256)
+        phi, w = raised_cosine_density(256, 0.3).nodes()
         law = MixtureLaw(BIG, Discrete(phi, w))
         rng = np.random.default_rng(27)
         z = sample_law(law, 30_000, rng)
@@ -247,15 +257,15 @@ class TestKernelOracle:
 
 
     def test_one_row_calls_match_the_batch(self):
-        # 384 nodes: the node rule is off, every row takes all of them, and
-        # a block holds 170 rows; lone rows (a one-row call, a last block of
-        # one) are still computed by the matrix-matrix product
-        law = MixtureLaw(THETA, raised_cosine_density(), quadrature_points=384)
+        # 384 atoms: the node rule leaves them whole, every row takes all of
+        # them, and a block holds 170 rows; lone rows (a one-row call, a last
+        # block of one) are still computed by the matrix-matrix product
+        law = MixtureLaw(THETA, Discrete(*raised_cosine_density(384).nodes()))
         z = random_rows(np.random.default_rng(28), 200, 5)
         whole = log_mixture_density(law, z)
         assert np.array_equal(whole, [log_mixture_density(law, row)[0] for row in z])
         assert np.array_equal(whole[:171], log_mixture_density(law, z[:171]))
-        other = MixtureLaw(BIG, uniform_density(), quadrature_points=384)
+        other = MixtureLaw(BIG, Discrete(*uniform_density(384).nodes()))
         base = log_mixture_density(other, z)
         ratios = [girsanov_log_ratio(law, other, row) for row in z]
         assert np.array_equal(ratios, whole - base)

@@ -1,5 +1,5 @@
-"""The shift quadrature's node rule: grid laws use the fewest budget nodes
-that the Bessel aliasing bound certifies, and nothing else moves.  The
+"""The shift quadrature's node rule: grid laws use the fewest of their own
+nodes that the Bessel aliasing bound certifies, and nothing else moves.  The
 kernel's one row layout against a transcript of the node-means layout."""
 
 import importlib.util
@@ -18,10 +18,9 @@ from simlab.mixture import (
     _SPLIT_MIN,
     MixtureLaw,
     _bounded_reduce,
-    _budget_nodes,
+    _law_nodes,
     _log_density,
     _shift_nodes,
-    default_quadrature_points,
     log_mixture_density,
     sample_law,
 )
@@ -38,10 +37,10 @@ from simlab.shifts import (
 THETA = FourierSeries.from_dict({1: 0.9 + 0j, 2: 0.4j}, cutoff=2)
 
 
-def budget_log_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
-    """Log density on every budget node: the same nodes as an atomic law,
-    which the rule never thins."""
-    phi, w = law.g.nodes(law.quadrature_points or default_quadrature_points(law.theta))
+def all_nodes_log_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
+    """Log density on every one of the law's own nodes: the same nodes as an
+    atomic law, which the rule never thins."""
+    phi, w = law.g.nodes()
     atoms = MixtureLaw(law.theta, Discrete(phi, w), freqs=law.freqs)
     return log_mixture_density(atoms, z)
 
@@ -67,7 +66,7 @@ def certificate_laws():
     net = make_fano_net(8, 1.0, 2.5, 1.5, 2.0)
     for j in range(8):
         for g in (net.gs[j], net.gs[0]):
-            yield MixtureLaw(net.fs[j], g, quadrature_points=256, freqs=(1, 8))
+            yield MixtureLaw(net.fs[j], g, freqs=(1, 8))
 
 
 def band_limited(rng, k_max: int) -> FourierDensity:
@@ -84,7 +83,7 @@ def grid_law(kind: str, m: int, rng):
     if kind == "raised_cosine":
         return raised_cosine_density(m, float(rng.uniform(-1.0, 1.0)))
     if kind == "fourier":
-        return band_limited(rng, int(rng.integers(1, 5))).to_grid()
+        return GridDensity(band_limited(rng, int(rng.integers(1, 5))).on_grid(m))
     return sample_smooth(SmoothPriorConfig(1.5, 2.0, grid=m), rng)
 
 
@@ -93,21 +92,21 @@ class TestNodeRule:
     @given(
         cutoff=st.integers(1, 4),
         kind=st.sampled_from(["raised_cosine", "fourier", "smooth"]),
-        m=st.sampled_from([64, 256, 1024]),
-        budget=st.sampled_from([None, 64, 128, 256]),
+        m=st.sampled_from([64, 128, 256, 1024]),
         scale=st.floats(0.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
     )
     # rows so small that an amplitude's half underflows to 0
-    @example(cutoff=1, kind="raised_cosine", m=64, budget=64, scale=5e-324, seed=416)
-    def test_within_tolerance_of_full_budget(self, cutoff, kind, m, budget, scale, seed):
+    @example(cutoff=1, kind="raised_cosine", m=64, scale=5e-324, seed=416)
+    def test_within_tolerance_of_full_budget(self, cutoff, kind, m, scale, seed):
+        # the full budget is every node of the law's own grid
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=2 * cutoff + 1) + 1j * rng.normal(size=2 * cutoff + 1)
         theta = FourierSeries(cutoff, coeffs * rng.uniform(0.0, 1.5) / np.abs(coeffs).max())
-        law = MixtureLaw(theta, grid_law(kind, m, rng), quadrature_points=budget)
+        law = MixtureLaw(theta, grid_law(kind, m, rng))
         z = scale * sample_law(law, 200, rng)
         got = log_mixture_density(law, z)
-        want = budget_log_density(law, z)
+        want = all_nodes_log_density(law, z)
         tol = 1e-13 * (1.0 + np.sum(np.abs(z) ** 2, axis=1))
         assert np.all(np.abs(got - want) <= tol)
 
@@ -116,8 +115,8 @@ class TestNodeRule:
         law = MixtureLaw(THETA, band_limited(rng, 2))
         z = sample_law(law, 500, rng)
         phi, _ = _shift_nodes(law, np.abs(rows_b(law, z)))
-        assert phi.size < default_quadrature_points(THETA)
-        assert np.all(np.abs(log_mixture_density(law, z) - budget_log_density(law, z))
+        assert phi.size < law.g.m
+        assert np.all(np.abs(log_mixture_density(law, z) - all_nodes_log_density(law, z))
                       <= 1e-13 * (1.0 + np.sum(np.abs(z) ** 2, axis=1)))
 
     def test_contraction_truth_uses_at_most_128_nodes(self):
@@ -132,6 +131,7 @@ class TestNodeRule:
                 assert abs(w.sum() - 1.0) < 1e-14
 
     def test_certificate_laws_stay_within_their_budget(self):
+        # 1,024 grid nodes thinned to at most 256 for a whole call
         rng = np.random.default_rng(808)
         for law in certificate_laws():
             absb = np.abs(rows_b(law, sample_law(law, 30_000, rng)))
@@ -144,19 +144,22 @@ class TestNodeRule:
         rng = np.random.default_rng(25)
         z = rng.normal(size=(100, 5)) + 1j * rng.normal(size=(100, 5))
         z *= 30.0 / np.linalg.norm(z, axis=1)[:, None]
-        law = MixtureLaw(THETA, raised_cosine_density(256, 0.5), quadrature_points=256)
+        law = MixtureLaw(THETA, raised_cosine_density(256, 0.5))
         phi, _ = _shift_nodes(law, np.abs(rows_b(law, z)))
         assert phi.size == 256
 
-    def test_budget_not_dividing_the_grid_is_unchanged(self):
-        # period-4 values on a 16-interval grid; 512 does not divide 16, so
-        # the values are those of the plain 512-node rule, bit for bit
+    def test_coarse_grid_uses_its_own_atoms(self):
+        # period-4 values on a 16-interval grid: the 16 trapezoid atoms, not
+        # the density interpolated between them
         g = GridDensity(np.tile([1.0, 1.5, 1.0, 0.5], 4).tolist() + [1.0])
+        phi, w = g.nodes()
+        assert np.array_equal(phi, np.arange(16) / 16)
+        assert np.allclose(w, np.tile([1.0, 1.5, 1.0, 0.5], 4) / 16, rtol=1e-15, atol=0)
         rng = np.random.default_rng(40)
         z = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
-        law = MixtureLaw(THETA, g, quadrature_points=512)
-        got = log_mixture_density(law, z)
-        assert np.array_equal(got, budget_log_density(law, z))
+        law = MixtureLaw(THETA, g)
+        tol = 1e-13 * (1.0 + np.sum(np.abs(z) ** 2, axis=1))
+        assert np.all(np.abs(log_mixture_density(law, z) - all_nodes_log_density(law, z)) <= tol)
 
     def test_constant_integrand_needs_one_node(self):
         law = MixtureLaw(THETA, raised_cosine_density(1024, 0.0))
@@ -176,7 +179,7 @@ class TestRowClasses:
             z = sample_law(law, 30_000, rng)
             got = log_mixture_density(law, z)
             tol = 1e-13 * (1.0 + np.sum(np.abs(z) ** 2, axis=1))
-            assert np.all(np.abs(got - budget_log_density(law, z)) <= tol)
+            assert np.all(np.abs(got - all_nodes_log_density(law, z)) <= tol)
             absb = np.abs(rows_b(law, z))
             tail = (absb > bulk_thresholds(absb)).any(axis=1)
             assert 0 < tail.sum() <= 0.05 * z.shape[0]
@@ -187,12 +190,6 @@ class TestRowClasses:
         g = Discrete(rng.uniform(size=400), rng.dirichlet(np.ones(400)))
         law = MixtureLaw(THETA, g)
         z = sample_law(law, 5_000, rng)
-        assert np.array_equal(log_mixture_density(law, z), unsplit_log_density(law, z))
-
-    def test_budget_not_dividing_the_grid_is_not_split(self):
-        g = GridDensity(np.tile([1.0, 1.5, 1.0, 0.5], 4).tolist() + [1.0])
-        law = MixtureLaw(THETA, g, quadrature_points=512)
-        z = sample_law(law, 5_000, np.random.default_rng(12))
         assert np.array_equal(log_mixture_density(law, z), unsplit_log_density(law, z))
 
     def test_contraction_truth_is_not_split(self):
@@ -236,12 +233,12 @@ def means_log_density(law: MixtureLaw, z: np.ndarray) -> np.ndarray:
     ``2 max_j |z_jk| |theta_k|`` (handed over as the moduli ``|z| |theta|``)."""
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     absz, abs_theta = np.abs(z), np.abs(law.active_coeffs)
-    budget, n = _budget_nodes(law), z.shape[0]
-    phi, w = _shift_nodes(law, absz * abs_theta, budget)
-    if budget[2] and n * phi.size >= _SPLIT_MIN:
+    nodes, n = _law_nodes(law), z.shape[0]
+    phi, w = _shift_nodes(law, absz * abs_theta, nodes)
+    if nodes[2] and n * phi.size >= _SPLIT_MIN:
         kth = int(_BULK_QUANTILE * (n - 1))
         thr = np.partition(absz, kth, axis=0)[kth]
-        bulk = _shift_nodes(law, thr[None, :] * abs_theta, budget)
+        bulk = _shift_nodes(law, thr[None, :] * abs_theta, nodes)
         if bulk[0].size < phi.size:
             out = means_kernel(law, z, absz, *bulk)
             tail = np.flatnonzero((absz > thr).any(axis=1))
@@ -281,17 +278,16 @@ def mixture_test_laws():
     yield MixtureLaw(FourierSeries.from_dict({0: 0.5 + 0.5j}, cutoff=0), uniform_density())
     yield MixtureLaw(THETA, raised_cosine_density())
     yield MixtureLaw(THETA, uniform_density())
-    yield MixtureLaw(THETA, raised_cosine_density(256, 0.7), quadrature_points=128)
+    yield MixtureLaw(THETA, raised_cosine_density(128, 0.7))
     yield MixtureLaw(THETA, Discrete(np.array([0.1, 0.4, 0.8]), np.array([0.5, 0.0, 0.5])))
-    yield MixtureLaw(THETA, raised_cosine_density(), quadrature_points=64)
-    yield MixtureLaw(THETA, raised_cosine_density(), quadrature_points=20000)
-    yield MixtureLaw(THETA, raised_cosine_density(256, 0.5), quadrature_points=256,
-                     freqs=(1, -2))
-    yield MixtureLaw(THETA, raised_cosine_density(256, 0.5), quadrature_points=256)
-    yield MixtureLaw(BIG, raised_cosine_density(256, 0.5), quadrature_points=256)
-    yield MixtureLaw(BIG, Discrete(*raised_cosine_density(1024, 0.3).nodes(256)))
-    yield MixtureLaw(THETA, raised_cosine_density(), quadrature_points=384)
-    yield MixtureLaw(BIG, uniform_density(), quadrature_points=384)
+    yield MixtureLaw(THETA, raised_cosine_density(64))
+    yield MixtureLaw(THETA, Discrete(*raised_cosine_density(20000).nodes()))
+    yield MixtureLaw(THETA, raised_cosine_density(256, 0.5), freqs=(1, -2))
+    yield MixtureLaw(THETA, raised_cosine_density(256, 0.5))
+    yield MixtureLaw(BIG, raised_cosine_density(256, 0.5))
+    yield MixtureLaw(BIG, Discrete(*raised_cosine_density(256, 0.3).nodes()))
+    yield MixtureLaw(THETA, Discrete(*raised_cosine_density(384).nodes()))
+    yield MixtureLaw(BIG, Discrete(*uniform_density(384).nodes()))
     yield MixtureLaw(THETA, Discrete(np.array([0.15, 0.6]), np.array([0.4, 0.6])))
     yield MixtureLaw(THETA, Discrete(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.0, 0.7])))
     yield MixtureLaw(project(THETA, 1), uniform_density())
@@ -303,21 +299,20 @@ def mixture_test_laws():
 def node_rule_test_laws():
     """The laws of this module's node-rule tests, the property's family on a grid."""
     rng = np.random.default_rng(31)
-    for i, (kind, m, budget) in enumerate(
-        (k, m, b) for k in ("raised_cosine", "fourier", "smooth")
-        for m in (64, 256, 1024) for b in (None, 64, 128, 256)
+    for i, (kind, m) in enumerate(
+        (k, m) for k in ("raised_cosine", "fourier", "smooth") for m in (64, 128, 256, 1024)
     ):
         cutoff = 1 + i % 4
         coeffs = rng.normal(size=2 * cutoff + 1) + 1j * rng.normal(size=2 * cutoff + 1)
         theta = FourierSeries(cutoff, coeffs * rng.uniform(0.0, 1.5) / np.abs(coeffs).max())
-        yield MixtureLaw(theta, grid_law(kind, m, rng), quadrature_points=budget)
+        yield MixtureLaw(theta, grid_law(kind, m, rng))
     yield MixtureLaw(THETA, band_limited(rng, 2))
     for cut in (2, 4):
         theta = FourierSeries.from_dict({1: 1.0 + 0j, 2: 0.5 + 0j}, cutoff=2)
         yield MixtureLaw(project(theta, cut), raised_cosine_density())
     yield MixtureLaw(THETA, raised_cosine_density(1024, 0.0))
     grid = GridDensity(np.tile([1.0, 1.5, 1.0, 0.5], 4).tolist() + [1.0])
-    yield MixtureLaw(THETA, grid, quadrature_points=512)
+    yield MixtureLaw(THETA, grid)
     yield MixtureLaw(THETA, Discrete(rng.uniform(size=400), rng.dirichlet(np.ones(400))))
 
 
@@ -348,7 +343,7 @@ class TestMeansLayoutReference:
         z[:, 3] += np.exp(1j * alpha)
         z[:, 4] -= 1j * np.exp(2j * alpha)
         z *= norm / np.linalg.norm(z, axis=1)[:, None]
-        law = MixtureLaw(BIG, raised_cosine_density(256, 0.5), quadrature_points=256)
+        law = MixtureLaw(BIG, raised_cosine_density(256, 0.5))
         assert_matches_means_layout(law, z)
 
     def test_node_rule_laws(self):

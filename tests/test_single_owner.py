@@ -1,18 +1,21 @@
 """One owner per random-draw concept in the package source.
 
-Every categorical draw goes through ``shifts.categorical`` and every stick
-fraction through ``priors.stick_weights``; a second ``choice`` or ``beta``
-call would fork a stream that the equivalence tests pin.  The bound-shifted
-kernel's floor-and-redo has two callers: the log density and the Gibbs
-sampler's exact draw.  The shift integral's row layout, its factor and its
-basis live in ``mixture``, and the rows have three builders: the log
-density, the exact draw and the smooth prior's block-envelope draw.
-Threads and stream splits have one owner, ``model.task_map``, whose per-task
-children keep an output independent of the worker count.  Only two functions
-branch on a shift law's representation, and only ``shifts`` tabulates a
-Fourier density.  The Gibbs level move reads the sweep's sufficient
-statistic, not the curves.  Every export resolves, so a deletion leaves no
-stale name behind.
+Categorical draws have two owners: ``shifts.categorical`` (numpy
+``choice``'s own steps, for a ``Discrete`` law's quantile, the sieve level
+and the Dirichlet move's empty atoms) and ``posterior._search`` (the Gibbs
+shift and atom draws, through ``_inverse_cdf`` and the smooth prior's block
+draw).  Every stick fraction goes through ``priors.stick_weights``; a second
+``choice`` or ``beta`` call would fork a stream that the equivalence tests
+pin.  The bound-shifted kernel's floor-and-redo has two callers: the log
+density and the Gibbs sampler's exact draw.  The shift integral's row
+layout, its factor and its basis live in ``mixture``, and the rows have
+three builders: the log density, the exact draw and the smooth prior's
+block-envelope draw.  Threads and stream splits have one owner,
+``model.task_map``, whose per-task children keep an output independent
+of the worker count.  Only two functions branch on a shift law's
+representation, and only ``shifts`` tabulates a Fourier density.  The
+Gibbs level move reads the sweep's sufficient statistic, not the curves.
+Every export resolves, so a deletion leaves no stale name behind.
 """
 
 import ast
@@ -49,6 +52,21 @@ def _calls(attr: str, keep=lambda call: True) -> list[tuple[str, str | None, int
 
 def test_no_choice_calls():
     assert _calls("choice") == []
+
+
+def test_categorical_draw_callers():
+    calls = _calls("categorical")
+    assert sorted((f, owner) for f, owner, _ in calls) == [
+        ("posterior.py", "_DirichletShifts.update"),
+        ("priors.py", "sample_f"),
+        ("shifts.py", "Discrete.quantile"),
+    ]
+    calls = _calls("_search")
+    assert sorted((f, owner) for f, owner, _ in calls) == [
+        ("posterior.py", "_SmoothShifts.draw"),
+        ("posterior.py", "_SmoothShifts.draw"),
+        ("posterior.py", "_inverse_cdf"),
+    ]
 
 
 def test_beta_only_in_stick_weights():
@@ -106,8 +124,9 @@ def test_task_map_callers():
 
 
 def test_representation_branches_only_in_tv_density_and_budget_nodes():
-    # every other caller goes through the ShiftDistribution methods, and
-    # only shifts knows how a Fourier density is tabulated
+    # every other caller goes through the ShiftDistribution methods (the
+    # shift integral starts from the law's own nodes, in _law_nodes), and a
+    # Fourier density has one tabulation, no conversion to another grid law
     kinds = {"Discrete", "GridDensity", "FourierDensity"}
 
     def on_kind(call):
@@ -116,11 +135,11 @@ def test_representation_branches_only_in_tv_density_and_budget_nodes():
 
     calls = _calls("isinstance", on_kind)
     assert sorted({(f, owner) for f, owner, _ in calls}) == [
-        ("mixture.py", "_budget_nodes"),
+        ("mixture.py", "_law_nodes"),
         ("shifts.py", "tv_density"),
     ]
     named = [p.name for p in sorted(SRC.glob("*.py")) if "to_grid" in p.read_text()]
-    assert named == ["shifts.py"]
+    assert named == []
 
 
 def test_level_move_reads_neither_curves_nor_assignments():
