@@ -148,19 +148,6 @@ class TestNodeRule:
         phi, _ = _shift_nodes(law, np.abs(rows_b(law, z)))
         assert phi.size == 256
 
-    def test_coarse_grid_uses_its_own_atoms(self):
-        # period-4 values on a 16-interval grid: the 16 trapezoid atoms, not
-        # the density interpolated between them
-        g = GridDensity(np.tile([1.0, 1.5, 1.0, 0.5], 4).tolist() + [1.0])
-        phi, w = g.nodes()
-        assert np.array_equal(phi, np.arange(16) / 16)
-        assert np.allclose(w, np.tile([1.0, 1.5, 1.0, 0.5], 4) / 16, rtol=1e-15, atol=0)
-        rng = np.random.default_rng(40)
-        z = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
-        law = MixtureLaw(THETA, g)
-        tol = 1e-13 * (1.0 + np.sum(np.abs(z) ** 2, axis=1))
-        assert np.all(np.abs(log_mixture_density(law, z) - all_nodes_log_density(law, z)) <= tol)
-
     def test_constant_integrand_needs_one_node(self):
         law = MixtureLaw(THETA, raised_cosine_density(1024, 0.0))
         phi, w = _shift_nodes(law, np.zeros((3, 5)))
