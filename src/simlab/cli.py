@@ -299,9 +299,10 @@ def _cmd_fano_net(args) -> int:
                                          " (mismatched TV 0 +- 0): lower --s or --beta")
             se = math.hypot(m.std_error, mm.std_error)  # 0 for member 1, the reference
             z = (mm.value - m.value) / se if se > 0.0 else ""
+            # the verdict reads its error bars, as the verify checks do
             rows.append(
                 [j, m.value, m.std_error, mm.value, mm.std_error, z,
-                 bool(j == 1 or m.value < mm.value)]
+                 bool(j == 1 or m.value < mm.value + N_SIGMA * se)]
             )
         _write_csv(
             os.path.join(args.out, "certificate.csv"),

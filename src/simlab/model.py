@@ -103,7 +103,7 @@ def simulate(
         u[j] = rng.random()
         if sigma > 0:
             noise[j] = complex_gaussian_array(rng, p)
-    shifts = np.asarray(g0.quantile(u), dtype=float)
+    shifts = g0.quantile(u)
     curves = theta_l.coeffs * np.exp(-2j * np.pi * theta_l.ks * shifts[:, None])
     if sigma > 0:
         curves = curves + sigma * noise

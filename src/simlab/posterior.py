@@ -67,8 +67,6 @@ __all__ = [
 PCN_BETA = 0.1
 # closed grid on which shift densities are averaged and compared
 G_GRID = 256
-# grid on which the Dirichlet prior's atoms are redrawn
-SHIFT_GRID = 1024
 # envelope slack (nats) above which a curve's smooth-prior shift draw takes
 # the inverse CDF: rejection accepts at least e^{-2 slack} of its proposals
 _SLACK_MAX = 1.5
@@ -100,10 +98,6 @@ class PosteriorEnsemble:
                 raise ValueError("weights must be nonnegative")
             if abs(w.sum() - 1.0) > 1e-9:
                 raise ValueError("weights must sum to 1")
-            ess = 1.0 / float(np.sum(w**2))
-            if ess > w.size + 1e-9:
-                raise ValueError("effective sample size cannot exceed the count")
-            self.diagnostics.setdefault("ess", ess)
 
     @property
     def weights(self) -> np.ndarray:
@@ -175,18 +169,21 @@ def importance_posterior(
                      for theta, g in pairs])
     w = np.exp(logl - logl.max())
     w /= w.sum()
-    ens = PosteriorEnsemble([(theta, g, float(wd)) for (theta, g), wd in zip(pairs, w)])
-    ens.diagnostics["low_ess_warning"] = bool(ens.diagnostics["ess"] < 10.0)
-    return ens
+    ess = 1.0 / float(np.sum(w**2))
+    if ess > w.size + 1e-9:
+        raise ValueError("effective sample size cannot exceed the count")
+    diag = {"ess": ess, "low_ess_warning": bool(ess < 10.0)}
+    return PosteriorEnsemble([(theta, g, float(wd)) for (theta, g), wd in zip(pairs, w)], diag)
 
 
 class _DirichletShifts:
     """Shift move of the Dirichlet prior: the blocked Gibbs update of the
     truncated stick-breaking measure (Ishwaran & James, JASA 2001).
 
-    The latent shifts live on the measure's atoms.  A refresh draws the
-    stick fractions from their Beta conditionals and every atom on the
-    ``SHIFT_GRID``-point grid.
+    The latent shifts live on the measure's atoms, and the atoms on the
+    base law's own nodes, where ``sample_dp`` draws them.  A refresh draws
+    the stick fractions from their Beta conditionals and every atom on
+    those nodes.
     """
 
     sample_prior = staticmethod(sample_dp)
@@ -194,16 +191,14 @@ class _DirichletShifts:
 
     def __init__(self, cfg: DirichletPriorConfig, ks: np.ndarray, rng):
         self.cfg = cfg
-        self.grid = np.arange(SHIFT_GRID) / SHIFT_GRID
+        self.grid, self.base = cfg.base_density.nodes()
+        with np.errstate(divide="ignore"):  # log 0 = -inf: zero-weight nodes
+            self.log_base = np.log(self.base)
         self.grid_basis = _fourier_basis(ks, self.grid)
         g0 = sample_dp(cfg, rng)
-        self.atoms = g0.positions.copy()
-        # the atoms' basis; once they are redrawn, columns of grid_basis
-        self.basis = _fourier_basis(ks, self.atoms)
+        idx = np.searchsorted(self.grid, g0.positions)
+        self.atoms, self.basis = self.grid[idx], self.grid_basis[:, idx]
         self.stick_w = g0.weights.copy()
-        base = cfg.base_density
-        self.base = np.maximum(np.interp(self.grid, base.grid, base.values), 1e-300)
-        self.log_base = np.log(self.base)
         self.atom_factors = {}  # the atom draw's factor at each window width met
 
     def candidates(self) -> np.ndarray:
@@ -222,9 +217,9 @@ class _DirichletShifts:
         k = self.cfg.truncation
         counts = np.bincount(assignments, minlength=k).astype(float)
         self.stick_w = stick_weights(counts, self.cfg.total_mass, rng)
-        # atom locations: categorical on the grid, conjugate to the
+        # atom locations: categorical on the base nodes, conjugate to the
         # per-cluster sums of rotated observations; an empty cluster's sum
-        # is zero, so its atom comes from the base density
+        # is zero, so its atom comes from the base law
         cluster_sums = _cluster_sums(assignments, y, k)
         occupied = counts > 0
         idx = np.empty(k, dtype=int)

@@ -42,16 +42,21 @@ class ShiftDistribution:
     """Common base for the three shift-distribution representations.
 
     Each one implements the single-law operations as methods: ``fourier``,
-    ``quantile``, ``sample``, ``nodes`` (the atoms and weights that the shift
-    integral of a mixture law sums over: the law's own measure), ``on_grid``,
-    ``translate``, ``radius_cutoff`` (for the smoothness radius) and
-    ``to_json``.  A new representation is one class plus its ``kind`` entry
-    in ``_FROM_JSON``.
+    ``nodes`` (the atoms and weights that the shift integral of a mixture
+    law sums over: the law's own measure), ``on_grid``, ``translate``,
+    ``radius_cutoff`` (for the smoothness radius) and ``to_json``.  A new
+    representation is one class plus its ``kind`` entry in ``_FROM_JSON``.
+    Every law samples the measure of its ``nodes``, through ``quantile``.
     """
+
+    def quantile(self, u) -> np.ndarray:
+        """Inverse CDF of the law's own measure, its ``nodes()``."""
+        phi, w = self.nodes()
+        return phi[np.minimum(categorical(w, u), phi.size - 1)]
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF draws: one uniform per draw through the quantile."""
-        return np.asarray(self.quantile(rng.uniform(0.0, 1.0, count)), dtype=float)
+        return self.quantile(rng.uniform(0.0, 1.0, count))
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,6 @@ class Discrete(ShiftDistribution):
     def fourier(self, ks: np.ndarray) -> np.ndarray:
         phases = np.exp(-2j * np.pi * np.multiply.outer(ks, self.positions))
         return phases @ self.weights
-
-    def quantile(self, u) -> np.ndarray:
-        idx = categorical(self.weights / self.weights.sum(), np.asarray(u))
-        return self.positions[np.minimum(idx, self.positions.size - 1)]
 
     def nodes(self):
         return self.positions, self.weights
@@ -141,12 +142,6 @@ class GridDensity(ShiftDistribution):
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.values.size)
 
-    def cdf_values(self) -> np.ndarray:
-        """Trapezoid CDF on the closed grid, pinned to exactly [0, 1]."""
-        cdf = cumulative_trapezoid(self.values)
-        cdf /= cdf[-1]
-        return cdf
-
     def fourier(self, ks: np.ndarray) -> np.ndarray:
         """Closed-grid trapezoid sum via one FFT of the open grid, for integer
         ``k``: ``(fft(v[:-1])[k mod m] + (v[m] - v[0]) / 2) / m``."""
@@ -154,11 +149,6 @@ class GridDensity(ShiftDistribution):
             raise ValueError("grid-density coefficients need integer frequencies")
         v, m = self.values, self.m
         return (np.fft.fft(v[:-1])[np.asarray(ks, int) % m] + (v[m] - v[0]) / 2) / m
-
-    def quantile(self, u) -> np.ndarray:
-        # np.interp on a nondecreasing CDF realizes the right-continuous
-        # generalized inverse up to grid resolution.
-        return np.interp(np.asarray(u), self.cdf_values(), self.grid)
 
     def nodes(self):
         """The open grid ``i/m`` with trapezoid weights, renormalized:
@@ -344,8 +334,7 @@ def discretize(g: ShiftDistribution, atom_count: int) -> Discrete:
     if atom_count < 1:
         raise ValueError("atom_count must be at least 1")
     u = (2.0 * np.arange(1, atom_count + 1) - 1.0) / (2.0 * atom_count)
-    pos = np.asarray(g.quantile(u), dtype=float)
-    uniq, inverse = np.unique(pos, return_inverse=True)
+    uniq, inverse = np.unique(g.quantile(u), return_inverse=True)
     w = np.zeros(uniq.size)
     np.add.at(w, inverse, 1.0 / atom_count)
     return Discrete(uniq, w)

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 from simlab import cli
 from simlab.cli import distance_verification_rows, main
-from simlab.distances import NonFiniteDensityError
+from simlab.distances import N_SIGMA, DistanceEstimate, NonFiniteDensityError
 from simlab.fourier import FourierSeries, series_to_json
 from simlab.model import load
+from simlab.nets import FanoCertificate
 from simlab.shifts import raised_cosine_density, shift_to_json
 
 
@@ -289,7 +290,24 @@ class TestFanoNetCommand:
             m, mm = float(row["matched_tv"]), float(row["mismatched_tv"])
             se = math.hypot(float(row["matched_se"]), float(row["mismatched_se"]))
             assert float(row["z"]) == pytest.approx((mm - m) / se, rel=1e-12)
-            assert (row["matched_below_mismatched"] == "True") == (float(row["z"]) > 0.0)
+            assert (row["matched_below_mismatched"] == "True") == (float(row["z"]) > -N_SIGMA)
+
+    @pytest.mark.parametrize("z, verdict", [(0.4, "True"), (-1.9, "True"), (-3.2, "False")])
+    def test_verdict_reads_its_error_bars(self, tmp_path, monkeypatch, z, verdict):
+        # matched below mismatched within N_SIGMA combined standard errors,
+        # the rule of the verify report's checks
+        m = DistanceEstimate(0.015, 3e-4)
+        mm = DistanceEstimate(0.015 + z * 5e-4, 4e-4)
+        ref = DistanceEstimate(0.0, 0.0)
+        monkeypatch.setattr(cli, "fano_tv_certificate",
+                            lambda *args: FanoCertificate([ref, m], [ref, mm]))
+        out = tmp_path / "net"
+        assert main(["fano-net", "--p", "4", "--s", "1.0", "--beta", "2.5", "--nu", "1.5",
+                     "--A", "2.0", "--certify", "--out", str(out)]) == 0
+        with open(out / "certificate.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[1]["z"]) == pytest.approx(z, rel=1e-9)
+        assert [row["matched_below_mismatched"] for row in rows] == ["True", verdict]
 
     def test_underflowing_net_refused_without_certificate(self, tmp_path, capsys):
         # at s = beta = 400 every perturbation underflows: all members are the

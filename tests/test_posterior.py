@@ -97,10 +97,12 @@ class TestEnsembleInvariants:
             PosteriorEnsemble([(th, g, 1.5), (th, g, -0.5)])
 
     def test_ess_bounded_by_count(self):
-        th = FourierSeries.zero(1)
-        g = uniform_density()
-        ens = PosteriorEnsemble([(th, g, 0.5), (th, g, 0.5)])
-        assert ens.diagnostics["ess"] <= 2.0 + 1e-9
+        # the weight ESS 1 / sum w^2 is the importance sampler's diagnostic
+        obs = simulate(TRUTH, raised_cosine_density(), 10, 2, seed=2)
+        ens = importance_posterior(obs, dp_prior(10), 20, np.random.default_rng(5))
+        assert 1.0 <= ens.diagnostics["ess"] <= 20.0 + 1e-9
+        th, g = FourierSeries.zero(1), uniform_density()
+        assert "ess" not in PosteriorEnsemble([(th, g, 0.5), (th, g, 0.5)]).diagnostics
 
 
 class TestAlignment:
@@ -554,7 +556,7 @@ class TestCertifiedPrefix:
     def _check(log_w, level=2, scale=1.0, seed=0, far=()):
         rng = np.random.default_rng(seed)
         b, ks, _, _, _ = _draw_case(rng, 300, log_w.size, level, scale)
-        x = rng.random(log_w.size)  # atoms off the grid, as the Dirichlet move's
+        x = rng.random(log_w.size)  # candidates off any grid: the draw needs none
         basis = _fourier_basis(np.arange(-2, 3), x)
         for i, modulus in zip(range(0, 300, 7), far):
             # misaligned phases: the row's bound sits about 3.5 modulus above its logits
@@ -635,14 +637,14 @@ class TestCertifiedPrefix:
     def test_prefix_settles_most_shift_rows(self, monkeypatch):
         # an equivalence test passes on a prefix that always falls back: count
         # the rows that reach the full path from the shift draw (100 atoms;
-        # the atom draw's rows have the 1,024 grid points)
+        # the atom draw's rows have the base law's 512 nodes)
         obs = simulate(TRUTH, raised_cosine_density(), 200, 4, seed=51)
         prior = PriorConfig(SievePriorConfig.adaptive(200),
                             DirichletPriorConfig(uniform_density(512), 1.0, 100))
         sampler = GibbsSampler(obs, prior, np.random.default_rng(52))
         for _ in range(50):  # burn-in
             sampler.sweep()
-        rows = {100: 0, 1024: 0}
+        rows = {100: 0, 512: 0}
 
         def counting(r, factor, reduce):
             rows[factor.shape[1]] += r.shape[0]
@@ -651,7 +653,7 @@ class TestCertifiedPrefix:
         monkeypatch.setattr(posterior, "_bounded_reduce", counting)
         for _ in range(100):
             sampler.sweep()
-        assert rows[1024] >= 100  # the atom draw's rows: the count sees the calls
+        assert rows[512] >= 100  # the atom draw's rows: the count sees the calls
         assert rows[100] < 0.1 * 100 * 200
 
 
@@ -887,19 +889,42 @@ class TestDirichletAtomUpdate:
         for c in np.flatnonzero(occupied):
             assert same_law(got[:, c], want[:, c])
 
+    def test_atoms_on_base_nodes_never_on_a_zero_weight_node(self):
+        # a 64-point raised cosine of amplitude 1 has no mass at its node 1/2
+        # (log weight -inf), and data shifted by 1/2 pull every occupied
+        # cluster towards it: from construction on, the atoms and their basis
+        # columns are base nodes of positive weight (no RuntimeWarning either)
+        base = raised_cosine_density(64, 1.0)
+        phi, w = base.nodes()
+        assert phi[32] == 0.5 and w[32] == 0.0
+        obs = simulate(TRUTH, Discrete.point_mass(0.5), 40, 2, seed=61)
+        prior = PriorConfig(SievePriorConfig.adaptive(40, l_max=2),
+                            DirichletPriorConfig(base, 1.0, 50))
+        sampler = GibbsSampler(obs, prior, np.random.default_rng(62))
+        move = sampler.shift_move
+        assert move.log_base[32] == -np.inf
+        for _ in range(30):
+            assert np.isin(move.atoms, phi).all()
+            idx = np.searchsorted(phi, move.atoms)
+            assert np.all(w[idx] > 0.0)
+            want = _fourier_basis(sampler.ks, phi[idx])
+            np.testing.assert_allclose(move.basis, want, rtol=0.0, atol=1e-12)
+            sampler.sweep()
+
     def test_empty_cluster_atoms_from_base_cdf(self):
-        # the former draw: a search of the normalized cumulative base
-        # weights, one uniform per empty cluster, drawn before the others
+        # the base law's own measure: a search of the normalized cumulative
+        # node weights, one uniform per empty cluster, drawn before the others
         obs = simulate(TRUTH, raised_cosine_density(), 6, 2, seed=31)
         sampler = GibbsSampler(obs, dp_prior(6), np.random.default_rng(32))
         move, base = sampler.shift_move, sampler.shift_move.cfg.base_density
         theta = project(TRUTH, sampler.l_max).coeffs
         rng = _Recording(np.random.default_rng(34))
         move.update(np.array([0, 0, 4, 4, 4, 9]), sampler.Y, theta, rng)
-        cdf = np.cumsum(np.maximum(np.interp(move.grid, base.grid, base.values), 1e-300))
+        phi, base_w = base.nodes()
+        cdf = np.cumsum(base_w)
         idx = np.searchsorted(cdf / cdf[-1], rng.uniforms[-2], side="right")
         empty = ~np.isin(np.arange(move.cfg.truncation), [0, 4, 9])
-        assert np.array_equal(move.atoms[empty], move.grid[idx])
+        assert np.array_equal(move.atoms[empty], phi[idx])
 
 
 def _exp_gain(sampler, tau, k, coeff_pos, coeff_neg):
@@ -922,10 +947,6 @@ class TestPhases:
         obs = simulate(TRUTH, raised_cosine_density(), 20, 3, seed=12)
         rng = np.random.default_rng(19)
         sampler = GibbsSampler(obs, prior, rng)
-        if isinstance(prior.shift_prior, DirichletPriorConfig):
-            # the initial atoms come from the prior, off the atom grid
-            atoms = sampler.shift_candidates()
-            assert not np.isin(atoms, sampler.shift_move.grid).all()
 
         def check():
             tau = sampler.shift_candidates()[sampler.assignments]

@@ -22,7 +22,7 @@ from simlab.priors import (
     sample_smooth_with_process,
     stick_weights,
 )
-from simlab.shifts import sobolev_radius, uniform_density
+from simlab.shifts import categorical, sobolev_radius, uniform_density
 from simlab.special import complex_gaussian_array
 
 
@@ -182,8 +182,9 @@ class TestStickBreaking:
         a, b = np.random.default_rng(9), np.random.default_rng(9)
         g = sample_dp(cfg, a)
         w = _stick_broken(b.beta(1.0, 2.0, size=29))
-        atoms = np.interp(b.uniform(0.0, 1.0, 30), cfg.base_density.cdf_values(),
-                          cfg.base_density.grid)
+        # the atoms: one uniform each through the base law's own nodes
+        phi, base_w = cfg.base_density.nodes()
+        atoms = phi[categorical(base_w, b.uniform(0.0, 1.0, 30))]
         order = np.argsort(atoms, kind="stable")
         assert np.array_equal(g.positions, atoms[order])
         assert np.array_equal(g.weights, w[order])

@@ -1,6 +1,7 @@
 """Shift distributions: coefficients, transport and TV distances, sampling."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from simlab.shifts import (
     uniform_density,
     wasserstein1,
 )
+from test_golden import INPUTS
 
 
 class TestInvariants:
@@ -390,6 +392,19 @@ class TestSampling:
             assert np.array_equal(draws, g.positions[b.choice(g.positions.size, 300, p=p)])
             assert a.random() == b.random()
             assert np.all(np.isin(draws, g.positions[g.weights > 0]))
+
+    @pytest.mark.parametrize("kind", ["discrete", "grid", "fourier"])
+    def test_quantile_inverts_the_cdf_of_the_nodes(self, kind):
+        # one measure per law: the inverse CDF draws exactly the nodes and
+        # weights that the shift integral sums over.  The golden inputs: three
+        # atoms, a 16-interval grid law and a Fourier density on 1,024 nodes
+        g = shift_from_json(json.loads(INPUTS[f"g_{kind}.json"]))
+        phi, w = g.nodes()
+        cdf = np.cumsum(w) / w.sum()
+        u = (np.arange(997) + 0.37) / 997
+        assert np.abs(u[:, None] - cdf).min() > 1e-9  # no uniform on a step
+        want = [phi[next(i for i, c in enumerate(cdf) if c > x)] for x in u]
+        assert np.array_equal(g.quantile(u), want)
 
     @pytest.mark.parametrize("k", [1, 2, 17, 200])
     def test_categorical_is_rng_choice(self, k):

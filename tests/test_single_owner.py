@@ -1,8 +1,9 @@
 """One owner per random-draw concept in the package source.
 
 Categorical draws have two owners: ``shifts.categorical`` (numpy
-``choice``'s own steps, for a ``Discrete`` law's quantile, the sieve level
-and the Dirichlet move's empty atoms) and ``posterior._search`` (the Gibbs
+``choice``'s own steps, for ``ShiftDistribution.quantile``, the one inverse
+CDF of every shift law's own nodes, the sieve level and the Dirichlet
+move's empty atoms) and ``posterior._search`` (the Gibbs
 shift and atom draws, through ``_inverse_cdf`` and the smooth prior's block
 draw).  Every stick fraction goes through ``priors.stick_weights``; a second
 ``choice`` or ``beta`` call would fork a stream that the equivalence tests
@@ -59,7 +60,7 @@ def test_categorical_draw_callers():
     assert sorted((f, owner) for f, owner, _ in calls) == [
         ("posterior.py", "_DirichletShifts.update"),
         ("priors.py", "sample_f"),
-        ("shifts.py", "Discrete.quantile"),
+        ("shifts.py", "ShiftDistribution.quantile"),
     ]
     calls = _calls("_search")
     assert sorted((f, owner) for f, owner, _ in calls) == [
@@ -67,6 +68,22 @@ def test_categorical_draw_callers():
         ("posterior.py", "_SmoothShifts.draw"),
         ("posterior.py", "_inverse_cdf"),
     ]
+
+
+def test_one_measure_per_shift_law():
+    # a law is sampled from the nodes it is evaluated on: one inverse CDF, on
+    # the base class, and no second tabulation (a CDF of cells, a fixed grid)
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    owners = sorted(
+        (name, cls.name)
+        for name, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if getattr(node, "name", None) == "quantile"
+    )
+    assert owners == [("shifts.py", "ShiftDistribution")]
+    named = [p.name for p in sorted(SRC.glob("*.py"))
+             if "SHIFT_GRID" in p.read_text() or "cdf_values" in p.read_text()]
+    assert named == []
 
 
 def test_beta_only_in_stick_weights():
